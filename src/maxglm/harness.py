@@ -457,13 +457,18 @@ def study_ap(ch_values, output_dir=None):
     fixed dt = 1e-2 to t = 0.1; reports the half-time divergence norms of the
     final step per ch, plus observed orders in eps = c0/ch between rows.
     """
+    ch_values = [float(ch) for ch in ch_values]
+    if not ch_values or ch_values[0] <= 0.0 or any(
+            b <= a for a, b in zip(ch_values, ch_values[1:])):
+        raise ValueError("ch values must be positive and strictly increasing, got %s"
+                         % ", ".join("%g" % ch for ch in ch_values))
     rows = []
     for ch in ch_values:
         config = RunConfig(scheme="simm", energy="quadratic", c0=1.0, ch=ch,
                            nx=40, ny=40, cfl=None, dt=1e-2, t_end=0.1,
                            ic="gauss_ap")
         series, _ = simulate(config)
-        rows.append((float(ch), series.div_B[-1], series.div_E[-1]))
+        rows.append((ch, series.div_B[-1], series.div_E[-1]))
     orders = []
     for (ch0, b0, e0), (ch1, b1, e1) in zip(rows, rows[1:]):
         ratio = math.log(ch1 / ch0)

@@ -11,14 +11,20 @@ such that the discrete compatibility condition
 
 holds for every face, for any energy potential.  Summing over the periodic
 mesh then telescopes the energy fluxes and the semi-discrete total energy is
-conserved exactly -- no upwind dissipation and no limiter anywhere.  Time
+conserved exactly -- no upwind dissipation and no limiter anywhere.
+
+For Maxwell-GLM the fluxes are linear in the main field, f_k = H_k p with H_k
+symmetric, so the numerator of alpha, (F_r - F_l) + (p_l + p_r).(f_l - f_r)/2,
+vanishes identically for every energy potential and fhat is the central flux.
+The solver therefore applies it as a periodic central difference of the main
+field, dq/dt = -(delta_x p H1 + delta_y p H2); abgrall_flux is kept as the
+pointwise general form that the compatibility checks measure.  Time
 integration is plain explicit Runge-Kutta (see tableaux).
 """
 
 import numpy as np
 
 from .model import main_field
-from .tableaux import ButcherTableau, get_tableau  # noqa: F401  (re-export)
 
 # Below this squared jump in the main field the correction is switched off;
 # its numerator vanishes at the same quadratic rate, so a pure central flux
@@ -45,9 +51,10 @@ class FVState:
 def abgrall_flux(qL, qR, n, model):
     """Energy-compatible numerical flux across a face with unit normal n.
 
-    Works pointwise on (8,) states or vectorized on (..., 8) arrays (the
-    solver calls it once per face direction with whole grid slabs).  n is an
-    axis-aligned 2-vector here, but the formula is written for general n.
+    Works pointwise on (8,) states or vectorized on (..., 8) arrays.  The
+    solver does not call it: for f_k = H_k p its alpha is roundoff, and
+    semidiscrete_rhs applies the central flux it reduces to directly.  n is
+    an axis-aligned 2-vector here, but the formula is written for general n.
     """
     qL = np.asarray(qL, dtype=float)
     qR = np.asarray(qR, dtype=float)
@@ -69,15 +76,18 @@ def abgrall_flux(qL, qR, n, model):
     return 0.5 * (fL + fR) - alpha[..., None] * dp
 
 
+def _central_difference(p, axis, h):
+    """Periodic (p[i+1] - p[i-1]) / (2h) along one grid axis."""
+    return (np.roll(p, -1, axis=axis) - np.roll(p, 1, axis=axis)) / (2.0 * h)
+
+
 def semidiscrete_rhs(state):
-    """-1/|Omega| times the net flux out of every cell, shape (nx, ny, 8)."""
+    """-1/|Omega| times the net central flux out of every cell, shape (nx, ny, 8)."""
     g = state.grid
-    q = state.q
-    # face i+1/2: left state is cell i, right state is cell i+1 (periodic)
-    fx = abgrall_flux(q, np.roll(q, -1, axis=0), (1.0, 0.0), state.model)
-    fy = abgrall_flux(q, np.roll(q, -1, axis=1), (0.0, 1.0), state.model)
-    # |face|/|Omega| = 1/dx for x-faces, 1/dy for y-faces
-    return -((fx - np.roll(fx, 1, axis=0)) / g.dx + (fy - np.roll(fy, 1, axis=1)) / g.dy)
+    mats = state.model.matrices
+    p = main_field(state.q, state.model)
+    return -(_central_difference(p, 0, g.dx) @ mats.H1
+             + _central_difference(p, 1, g.dy) @ mats.H2)
 
 
 def rk_step(state, dt, tab):
@@ -86,17 +96,21 @@ def rk_step(state, dt, tab):
         raise ValueError("dt must be positive")
     a, b, c = tab.a, tab.b, tab.c
     q0, t0 = state.q, state.t
-    k = []
+    k = np.empty((tab.stages,) + q0.shape)
+    qi = np.empty_like(q0)
+    scratch = np.empty_like(q0)
     for i in range(tab.stages):
-        qi = q0
+        # in place, in tableau order: bitwise q0 + (dt a_i0) k_0 + (dt a_i1) k_1 + ...
+        qi[...] = q0
         for j in range(i):
             if a[i, j] != 0.0:
-                qi = qi + (dt * a[i, j]) * k[j]
-        k.append(semidiscrete_rhs(state.copy_with(qi, t0 + c[i] * dt)))
-    qn = q0
+                qi += np.multiply(dt * a[i, j], k[j], out=scratch)
+        k[i] = semidiscrete_rhs(state.copy_with(qi, t0 + c[i] * dt))
+    # accumulate into a copy: callers keep the input state and views of it
+    qn = q0.copy()
     for i in range(tab.stages):
         if b[i] != 0.0:
-            qn = qn + (dt * b[i]) * k[i]
+            qn += np.multiply(dt * b[i], k[i], out=scratch)
     return state.copy_with(qn, t0 + dt)
 
 

@@ -3,8 +3,8 @@
 Each test prints one PASS/FAIL line with the measured numbers (run with -s to
 see them on success).  Reference error tables are frozen copies here, on
 purpose: a change inside the package cannot silently move the goalposts.
-The two refinement studies are the slow part (a few minutes together); all
-other tests are seconds.
+The collocated t=10 energy run and refinement study are the slow part (under
+a minute together on 2 cores); all other tests are seconds.
 """
 
 import math
@@ -12,8 +12,9 @@ import math
 import numpy as np
 
 from maxglm.grid import Grid2D
-from maxglm.harness import RunConfig, simulate, study_ap, study_convergence
-from maxglm.htc import FVState, abgrall_flux, semidiscrete_rhs
+from maxglm.harness import (RunConfig, initial_fields, pack_state, simulate, study_ap,
+                            study_convergence)
+from maxglm.htc import FVState, abgrall_flux, cfl_dt, rk_step, semidiscrete_rhs
 from maxglm.mimetic import check_identities
 from maxglm.model import (
     EnergyModel,
@@ -24,6 +25,7 @@ from maxglm.model import (
     physical_flux,
 )
 from maxglm.simm import apply_E_operator, apply_phi_operator
+from maxglm.tableaux import DP8
 
 # L2 errors after one period of the planar wave (per component, per N);
 # every measured value must land within this factor of its reference.
@@ -159,6 +161,40 @@ def test_collocated_energy_conservation_long_run():
     _gate(ok, "collocated energy drift, t=10, 80x80",
           "quadratic %.3e / exponential %.3e <= 1e-11"
           % (drifts["quadratic"], drifts["exponential"]))
+
+
+def _exponential_excess_energy(state):
+    """Total exponential energy minus its vacuum value, summed via expm1.
+
+    The vacuum energy (2 c0 + 2 ch^2/c0 per unit area) dwarfs the excess of a
+    small pulse, so the drift of the plain total cannot resolve the scheme.
+    """
+    q = state.q
+    c0, ch = state.model.params.c0, state.model.params.ch
+    w = ch * ch / c0
+    density = (c0 * np.expm1(0.5 * np.sum(q[..., 0:3] ** 2, axis=-1))
+               + c0 * np.expm1(0.5 * np.sum(q[..., 4:7] ** 2, axis=-1))
+               + w * np.expm1(0.5 * q[..., 3] ** 2)
+               + w * np.expm1(0.5 * q[..., 7] ** 2))
+    return state.grid.cell_volume * float(np.sum(density))
+
+
+def test_collocated_exponential_excess_energy_drift():
+    config = RunConfig(scheme="htc", energy="exponential", rk="dp8", nx=40, ny=40,
+                       cfl=0.9, t_end=2.0, ic="gauss_t2")
+    grid = Grid2D(config.nx, config.ny, config.x_min, config.x_max,
+                  config.y_min, config.y_max)
+    params = ModelParams(config.c0, config.ch)
+    state = FVState(grid, EnergyModel("exponential", params),
+                    pack_state(initial_fields(config, grid)))
+    dt0 = cfl_dt(grid, params, config.cfl)
+    excess0 = _exponential_excess_energy(state)
+    drift = 0.0
+    while config.t_end - state.t > 1e-12:
+        state = rk_step(state, min(dt0, config.t_end - state.t), DP8)
+        drift = max(drift, abs(_exponential_excess_energy(state) / excess0 - 1.0))
+    _gate(drift <= 1e-11, "collocated excess energy drift, exponential, t=2, 40x40",
+          "max |relative drift| %.3e of excess %.3e <= 1e-11" % (drift, excess0))
 
 
 # 7 -- long-run energy conservation of the staggered scheme

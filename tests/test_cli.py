@@ -85,6 +85,17 @@ def test_ap_subcommand(tmp_path, capsys):
     assert (out / "ap.csv").exists()
 
 
+@pytest.mark.parametrize("ch", ["1e2,1e2", "1e3,1e2", "-1,1", "0", ""])
+def test_ap_rejects_bad_cleaning_speeds(tmp_path, capsys, ch):
+    # equal neighbours would divide by log(1) = 0 in the order column
+    rc = main(["ap", "--ch=" + ch, "--output-dir", str(tmp_path / "ap")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "error:" in captured.err
+    assert "strictly increasing" in captured.err
+    assert not (tmp_path / "ap").exists()
+
+
 def test_check_subcommand(capsys):
     rc = main(["check", "--suite", "matrices"])
     captured = capsys.readouterr()

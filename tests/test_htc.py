@@ -13,7 +13,7 @@ from maxglm.model import (
     main_field,
     physical_flux,
 )
-from maxglm.tableaux import get_tableau
+from maxglm.tableaux import DP8, RK4, get_tableau
 
 X_NORMAL = (1.0, 0.0)
 Y_NORMAL = (0.0, 1.0)
@@ -130,6 +130,94 @@ def test_rhs_zero_energy_production(kind, scale):
         scale_ref = max(1.0, grid.cell_volume * np.sum(energy_density(q, model)))
         worst = max(worst, abs(production) / scale_ref)
     assert worst <= 1e-12, worst
+
+
+@pytest.mark.parametrize("amplitude", [1.5, 2.0])
+def test_rhs_energy_production_is_roundoff_at_large_amplitude(amplitude):
+    """sum p.rhs stays at roundoff of its own terms for large exponential states.
+
+    A correction alpha = num/|p_r - p_l|^2 evaluated on faces where num is
+    pure roundoff amplifies that roundoff for large states; the production
+    must stay at the level of the cancelling terms sum |p|.|rhs|.
+    """
+    grid = Grid2D(16, 16, -1.0, 1.0, -1.0, 1.0)
+    model = EnergyModel("exponential", ModelParams(c0=1.0, ch=2.0))
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(20):
+        q = rng.normal(scale=amplitude, size=(grid.nx, grid.ny, 8))
+        rhs = semidiscrete_rhs(FVState(grid, model, q))
+        p = main_field(q, model)
+        worst = max(worst, abs(np.sum(p * rhs)) / np.sum(np.abs(p) * np.abs(rhs)))
+    assert worst <= 1e-14, worst
+
+
+def _two_flux_rhs(state):
+    """The face-by-face form: one compatible flux per face direction."""
+    g = state.grid
+    q = state.q
+    # face i+1/2: left state is cell i, right state is cell i+1 (periodic)
+    fx = abgrall_flux(q, np.roll(q, -1, axis=0), X_NORMAL, state.model)
+    fy = abgrall_flux(q, np.roll(q, -1, axis=1), Y_NORMAL, state.model)
+    # |face|/|Omega| = 1/dx for x-faces, 1/dy for y-faces
+    return -((fx - np.roll(fx, 1, axis=0)) / g.dx + (fy - np.roll(fy, 1, axis=1)) / g.dy)
+
+
+def _gaussian_state(grid, model, amplitude):
+    X, Y = grid.cell_centers()
+    bump = np.exp(-((X - 0.1) ** 2 + (Y + 0.2) ** 2) / (2 * 0.2 ** 2))
+    weights = np.array([0.3, -0.7, 1.0, 0.4, 0.9, -0.5, 0.8, -0.6])
+    return FVState(grid, model, amplitude * bump[..., None] * weights)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "exponential"])
+@pytest.mark.parametrize("amplitude", [0.1, 0.5])
+def test_rhs_matches_face_flux_form(kind, amplitude):
+    """The central-difference RHS is the compatible flux differenced per cell."""
+    grid = Grid2D(48, 40, -1.0, 1.0, -1.0, 0.5)
+    assert grid.dx != grid.dy
+    model = EnergyModel(kind, ModelParams(c0=1.0, ch=1.7))
+    states = [_gaussian_state(grid, model, amplitude)]
+    rng = np.random.default_rng(31)
+    states.append(FVState(grid, model, rng.normal(scale=amplitude, size=(48, 40, 8))))
+    for state in states:
+        ref = _two_flux_rhs(state)
+        rhs = semidiscrete_rhs(state)
+        assert np.max(np.abs(rhs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _list_rk_step(state, dt, tab):
+    """Reference Runge-Kutta step with one fresh array per stage product."""
+    a, b, c = tab.a, tab.b, tab.c
+    q0, t0 = state.q, state.t
+    k = []
+    for i in range(tab.stages):
+        qi = q0
+        for j in range(i):
+            if a[i, j] != 0.0:
+                qi = qi + (dt * a[i, j]) * k[j]
+        k.append(semidiscrete_rhs(state.copy_with(qi, t0 + c[i] * dt)))
+    qn = q0
+    for i in range(tab.stages):
+        if b[i] != 0.0:
+            qn = qn + (dt * b[i]) * k[i]
+    return state.copy_with(qn, t0 + dt)
+
+
+@pytest.mark.parametrize("tab", [RK4, DP8], ids=["rk4", "dp8"])
+@pytest.mark.parametrize("kind", ["quadratic", "exponential"])
+def test_rk_step_matches_list_based_loop(tab, kind):
+    grid = Grid2D(16, 12, -1.0, 1.0, -1.0, 1.0)
+    model = EnergyModel(kind, ModelParams(c0=1.0, ch=1.5))
+    state = _smooth_state(grid, model, seed=7)
+    state.q *= 0.5
+    q_before = state.q.copy()
+    new = rk_step(state, 0.01, tab)
+    ref = _list_rk_step(state, 0.01, tab)
+    assert np.array_equal(new.q, ref.q)
+    assert new.t == ref.t
+    assert np.array_equal(state.q, q_before)  # the input state is untouched
+    assert not np.shares_memory(new.q, state.q)
 
 
 def test_cfl_dt_examples():
