@@ -18,9 +18,8 @@ experiment configurations.
 from .diagnostics import (DiagnosticsSeries, collocated_divergence,
                           convergence_order, staggered_divergences,
                           total_energy_collocated)
-from .grid import (CellField, Grid2D, VertexField, l2_error, l2_norm,
-                   read_snapshot, sample, write_snapshot)
-from .harness import (RunConfig, check, ic_gaussian, ic_planar, run,
+from .grid import Grid2D, l2_norm, read_snapshot, write_snapshot
+from .harness import (RunConfig, check, ic_gaussian, ic_planar, simulate,
                       study_ap, study_convergence)
 from .htc import FVState, abgrall_flux, cfl_dt, rk_step, semidiscrete_rhs
 from .mimetic import (check_identities, curl_c2v, curl_v2c, div_c2v, div_v2c,
@@ -36,16 +35,15 @@ from .tableaux import ButcherTableau, get_tableau
 __version__ = "0.1.0"
 
 __all__ = [
-    "ButcherTableau", "CGConfig", "CellField", "DiagnosticsSeries",
-    "EnergyModel", "FVState", "Grid2D", "ModelParams", "NonConvergence",
-    "RunConfig", "StaggeredState", "SystemMatrices", "VertexField",
-    "abgrall_flux", "apply_E_operator", "apply_phi_operator",
-    "assemble_matrices", "cfl_dt", "cg_solve", "check", "check_identities",
-    "collocated_divergence", "convergence_order", "curl_c2v", "curl_v2c",
-    "div_c2v", "div_v2c", "energy_density", "energy_flux", "get_tableau",
-    "grad_c2v", "grad_v2c", "ic_gaussian", "ic_planar", "l2_error", "l2_norm",
-    "main_field", "max_signal_speed", "physical_flux", "read_snapshot",
-    "rk_step", "run", "sample", "semidiscrete_rhs", "simm_step",
+    "ButcherTableau", "CGConfig", "DiagnosticsSeries", "EnergyModel",
+    "FVState", "Grid2D", "ModelParams", "NonConvergence", "RunConfig",
+    "StaggeredState", "SystemMatrices", "abgrall_flux", "apply_E_operator",
+    "apply_phi_operator", "assemble_matrices", "cfl_dt", "cg_solve", "check",
+    "check_identities", "collocated_divergence", "convergence_order",
+    "curl_c2v", "curl_v2c", "div_c2v", "div_v2c", "energy_density",
+    "energy_flux", "get_tableau", "grad_c2v", "grad_v2c", "ic_gaussian",
+    "ic_planar", "l2_norm", "main_field", "max_signal_speed", "physical_flux",
+    "read_snapshot", "rk_step", "semidiscrete_rhs", "simm_step", "simulate",
     "staggered_divergences", "study_ap", "study_convergence",
     "total_energy_collocated", "total_energy_staggered", "write_snapshot",
 ]

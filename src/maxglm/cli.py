@@ -34,7 +34,7 @@ def _float_list(text):
 def _cmd_run(args):
     pairs = harness.parse_config_file(args.config) if args.config else {}
     config = harness.make_config(pairs, args.override)
-    series = harness.run(config)
+    series, _ = harness.simulate(config)
     print("scheme=%s ic=%s grid=%dx%d steps=%d final t=%.6g"
           % (config.scheme, config.ic, config.nx, config.ny,
              len(series) - 1, series.t[-1]))

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 
 from .grid import l2_norm
+from .htc import _central_difference
 from .mimetic import div_c2v, div_v2c
 from .model import energy_density
 
@@ -26,6 +27,9 @@ class DiagnosticsSeries:
         if self.t and t <= self.t[-1]:
             raise ValueError("time must be strictly increasing")
         self.t.append(float(t))
+        if not self.energy and energy == 0.0:
+            raise ValueError("initial energy is 0 (the initial data is zero on this grid), "
+                             "so the relative energy drift is undefined")
         self.energy.append(float(energy))
         if len(self.energy) == 1:
             self.rel_energy_err.append(0.0)
@@ -77,9 +81,8 @@ def collocated_divergence(state, field="B"):
         u = state.q[..., 4:7]
     else:
         raise ValueError("field must be 'B' or 'E'")
-    div = ((np.roll(u[..., 0], -1, 0) - np.roll(u[..., 0], 1, 0)) / (2 * g.dx)
-           + (np.roll(u[..., 1], -1, 1) - np.roll(u[..., 1], 1, 1)) / (2 * g.dy))
-    return l2_norm(g, div)
+    return l2_norm(g, _central_difference(u[..., 0], 0, g.dx)
+                   + _central_difference(u[..., 1], 1, g.dy))
 
 
 def staggered_divergences(state, state_next):

@@ -1,4 +1,4 @@
-"""Periodic uniform 2D Cartesian mesh with cell and vertex field storage.
+"""Periodic uniform 2D Cartesian mesh, the L2 norm and snapshot files.
 
 Index conventions (shared by every stencil in the code base):
 
@@ -14,11 +14,6 @@ fields (nx, ny, 3) with the component axis last.
 import math
 
 import numpy as np
-
-
-def wrap(i, n):
-    """Total periodic index map; works for any integer, also negative."""
-    return ((i % n) + n) % n
 
 
 class Grid2D:
@@ -66,70 +61,9 @@ class Grid2D:
             self.nx, self.ny, self.x_min, self.x_max, self.y_min, self.y_max)
 
 
-class Field:
-    """A dense scalar or 3-vector field attached to one mesh location."""
-
-    location = None  # set by the concrete subclasses
-
-    def __init__(self, grid, values):
-        values = np.asarray(values, dtype=float)
-        ok = values.shape == (grid.nx, grid.ny) or values.shape == (grid.nx, grid.ny, 3)
-        if not ok:
-            raise ValueError(
-                "field shape %r does not fit grid %dx%d (scalar or 3-vector)"
-                % (values.shape, grid.nx, grid.ny))
-        self.grid = grid
-        self.values = values
-
-    @property
-    def components(self):
-        return 1 if self.values.ndim == 2 else 3
-
-
-class CellField(Field):
-    location = "cells"
-
-
-class VertexField(Field):
-    location = "vertices"
-
-
-def sample(grid, f, location="cells"):
-    """Point-sample f(x, y) at cell centers or vertices (no cell averaging).
-
-    f is evaluated once on coordinate arrays; it may return a scalar, an
-    (nx, ny) array, a constant 3-vector, or an (nx, ny, 3) / (3, nx, ny)
-    stack for vector data.
-    """
-    X, Y = grid.points(location)
-    out = np.asarray(f(X, Y), dtype=float)
-    if out.shape == X.shape or out.shape == X.shape + (3,):
-        return out
-    if out.shape == ():
-        return np.full(X.shape, float(out))
-    if out.shape == (3,):
-        return np.broadcast_to(out, X.shape + (3,)).copy()
-    if out.shape == (3,) + X.shape:
-        return np.ascontiguousarray(np.moveaxis(out, 0, -1))
-    raise ValueError("sampled function returned unusable shape %r" % (out.shape,))
-
-
-def _values(u):
-    return np.asarray(getattr(u, "values", u), dtype=float)
-
-
 def l2_norm(grid, u):
     """Volume-weighted L2 norm sqrt(sum dx*dy*u^2); vector fields sum components."""
-    v = _values(u)
-    return math.sqrt(grid.cell_volume * float(np.sum(v * v)))
-
-
-def l2_error(grid, u, v):
-    a = _values(u)
-    b = _values(v)
-    if a.shape != b.shape:
-        raise ValueError("shape mismatch %r vs %r" % (a.shape, b.shape))
-    return l2_norm(grid, a - b)
+    return math.sqrt(grid.cell_volume * float(np.sum(u * u)))
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,16 @@
 
 The harness owns everything around the two solvers: parsing `key = value`
 config files, sampling initial data at the right mesh locations, the time
-loop with per-step diagnostics, the convergence / cleaning-speed studies and
-the property check suites exposed by the CLI.
+loop, the convergence / cleaning-speed studies and the property check suites
+exposed by the CLI.  `simulate` is one loop for both schemes: `_setup` gives
+it the scheme's initial state and its step, energy and divergence functions,
+and `_state_fields` the {B, phi, E, psi} view that snapshots and the
+convergence study's errors read.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, fields
@@ -55,7 +59,6 @@ class RunConfig:
     cg_maxiter: int = 0
     output_dir: str = ""
     snapshot_every: int = 0
-    seed: int = 0
 
     def validate(self):
         if self.scheme not in SCHEMES:
@@ -72,8 +75,10 @@ class RunConfig:
             raise ValueError("set exactly one of cfl / dt")
         if self.dt is not None and not self.dt > 0.0:
             raise ValueError("dt must be positive")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
+        if not (math.isfinite(self.t_end) and self.t_end >= 0.0):
+            raise ValueError("t_end must be finite and nonnegative")
+        if not self.sigma > 0.0:
+            raise ValueError("sigma must be positive")
         if not self.cg_tol > 0.0:
             raise ValueError("cg_tol must be positive")
         if self.snapshot_every < 0 or self.cg_maxiter < 0:
@@ -215,6 +220,37 @@ def _write_state_snapshots(outdir, step, grid, fields_dict, locations, t):
         write_snapshot(path, grid, arr, locations[name], t)
 
 
+def _state_fields(state):
+    """The {B, phi, E, psi} arrays of either scheme's state, as views."""
+    if isinstance(state, htc.FVState):
+        q = state.q
+        return {"B": q[..., 0:3], "phi": q[..., 3], "E": q[..., 4:7], "psi": q[..., 7]}
+    return {"B": state.B_c, "phi": state.phi_p, "E": state.E_p, "psi": state.psi_c}
+
+
+def _setup(config, grid, params):
+    """Initial state plus step(state, dt), energy(state), divergences(prev, state).
+
+    Solvers and diagnostics are looked up on their modules at call time.
+    """
+    fields0 = initial_fields(config, grid)
+    if config.scheme == "htc":
+        tab = get_tableau(config.rk)
+        state = htc.FVState(grid, EnergyModel(config.energy, params), pack_state(fields0))
+        return (state,
+                lambda s, dt: htc.rk_step(s, dt, tab),
+                lambda s: diagnostics.total_energy_collocated(s),
+                lambda prev, s: (diagnostics.collocated_divergence(s, "B"),
+                                 diagnostics.collocated_divergence(s, "E")))
+    cg_cfg = simm.CGConfig(config.cg_tol, config.cg_maxiter)
+    state = simm.StaggeredState(grid, params, fields0["B"], fields0["psi"],
+                                fields0["E"], fields0["phi"])
+    return (state,
+            lambda s, dt: simm.simm_step(s, dt, cg_cfg),
+            lambda s: simm.total_energy_staggered(s),
+            lambda prev, s: diagnostics.staggered_divergences(prev, s))
+
+
 def simulate(config):
     """Time loop; returns (DiagnosticsSeries, final solver state)."""
     config.validate()
@@ -226,73 +262,31 @@ def simulate(config):
     meta = config.as_dict()
     meta["config_hash"] = diagnostics.config_hash(meta)
     series = diagnostics.DiagnosticsSeries(meta)
-    fields_dict = initial_fields(config, grid)
     locations = HTC_LOCATIONS if config.scheme == "htc" else SIMM_LOCATIONS
-
-    def snapshot(step, fds, t):
-        if outdir and config.snapshot_every:
-            if step % config.snapshot_every == 0:
-                _write_state_snapshots(outdir, step, grid, fds, locations, t)
+    state, advance, energy, divergences = _setup(config, grid, params)
 
     eps = 1e-12 * max(1.0, config.t_end)
-    if config.scheme == "htc":
-        model = EnergyModel(config.energy, params)
-        state = htc.FVState(grid, model, pack_state(fields_dict), 0.0)
-        tab = get_tableau(config.rk)
-        series.append(0.0, diagnostics.total_energy_collocated(state),
-                      diagnostics.collocated_divergence(state, "B"),
-                      diagnostics.collocated_divergence(state, "E"))
-        snapshot(0, fields_dict, 0.0)
-        step = 0
-        while config.t_end - state.t > eps:
-            dt = min(dt0, config.t_end - state.t)
-            state = htc.rk_step(state, dt, tab)
-            step += 1
-            series.append(state.t, diagnostics.total_energy_collocated(state),
-                          diagnostics.collocated_divergence(state, "B"),
-                          diagnostics.collocated_divergence(state, "E"))
-            snapshot(step, _unpack(state.q), state.t)
-        final = state
-    else:
-        state = simm.StaggeredState(grid, params, fields_dict["B"],
-                                    fields_dict["psi"], fields_dict["E"],
-                                    fields_dict["phi"], 0.0)
-        cg_cfg = simm.CGConfig(config.cg_tol, config.cg_maxiter)
-        series.append(0.0, simm.total_energy_staggered(state),
-                      l2_norm(grid, mimetic.div_c2v(grid, state.B_c)),
-                      l2_norm(grid, mimetic.div_v2c(grid, state.E_p)))
-        snapshot(0, fields_dict, 0.0)
-        step = 0
-        while config.t_end - state.t > eps:
-            dt = min(dt0, config.t_end - state.t)
-            try:
-                nxt = simm.simm_step(state, dt, cg_cfg)
-            except simm.NonConvergence as exc:
-                raise RuntimeError(
-                    "run aborted in step %d (t=%.6g -> %.6g): %s"
-                    % (step + 1, state.t, state.t + dt, exc)) from exc
-            div_B, div_E = diagnostics.staggered_divergences(state, nxt)
-            state = nxt
-            step += 1
-            series.append(state.t, simm.total_energy_staggered(state), div_B, div_E)
-            snapshot(step, {"B": state.B_c, "psi": state.psi_c,
-                            "E": state.E_p, "phi": state.phi_p}, state.t)
-        final = state
+    divs = divergences(state, state)  # 0.5 (u + u) == u: the initial divergences
+    for step in itertools.count():
+        series.append(state.t, energy(state), *divs)
+        if outdir and config.snapshot_every and step % config.snapshot_every == 0:
+            _write_state_snapshots(outdir, step, grid, _state_fields(state), locations, state.t)
+        if config.t_end - state.t <= eps:
+            break
+        dt = min(dt0, config.t_end - state.t)
+        try:
+            nxt = advance(state, dt)
+        except simm.NonConvergence as exc:
+            raise RuntimeError(
+                "run aborted in step %d (t=%.6g -> %.6g): %s"
+                % (step + 1, state.t, state.t + dt, exc)) from exc
+        divs = divergences(state, nxt)
+        state = nxt
 
     if outdir:
         series.write_energy_csv(os.path.join(outdir, "energy.csv"))
         series.write_divergence_csv(os.path.join(outdir, "divergence.csv"))
-    return series, final
-
-
-def _unpack(q):
-    return {"B": q[..., 0:3], "phi": q[..., 3], "E": q[..., 4:7], "psi": q[..., 7]}
-
-
-def run(config):
-    """Run one experiment; returns its DiagnosticsSeries (CSVs per config)."""
-    series, _ = simulate(config)
-    return series
+    return series, state
 
 
 # ---------------------------------------------------------------------------
@@ -397,25 +391,10 @@ def _write_summary(outdir, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def _final_errors(config, grid, final):
+def _final_errors(config, final):
     """Per-component L2 errors of the final state against the initial data."""
-    fields0 = initial_fields(config, grid)
-    if config.scheme == "htc":
-        q0 = pack_state(fields0)
-        dq = final.q - q0
-        errs = {name: l2_norm(grid, dq[..., i]) for i, name in enumerate(COMPONENT_NAMES)}
-    else:
-        errs = {
-            "B1": l2_norm(grid, final.B_c[..., 0] - fields0["B"][..., 0]),
-            "B2": l2_norm(grid, final.B_c[..., 1] - fields0["B"][..., 1]),
-            "B3": l2_norm(grid, final.B_c[..., 2] - fields0["B"][..., 2]),
-            "phi": l2_norm(grid, final.phi_p - fields0["phi"]),
-            "E1": l2_norm(grid, final.E_p[..., 0] - fields0["E"][..., 0]),
-            "E2": l2_norm(grid, final.E_p[..., 1] - fields0["E"][..., 1]),
-            "E3": l2_norm(grid, final.E_p[..., 2] - fields0["E"][..., 2]),
-            "psi": l2_norm(grid, final.psi_c - fields0["psi"]),
-        }
-    return errs
+    dq = pack_state(_state_fields(final)) - pack_state(initial_fields(config, final.grid))
+    return {name: l2_norm(final.grid, dq[..., i]) for i, name in enumerate(COMPONENT_NAMES)}
 
 
 def study_convergence(scheme, resolutions, rk="rk_high", cfl=0.9,
@@ -431,10 +410,8 @@ def study_convergence(scheme, resolutions, rk="rk_high", cfl=0.9,
     for N in resolutions:
         config = RunConfig(scheme=scheme, energy=energy, nx=N, ny=N, cfl=cfl,
                            dt=None, t_end=math.sqrt(2.0), ic="planar", rk=rk)
-        config.validate()
-        grid = Grid2D(N, N, config.x_min, config.x_max, config.y_min, config.y_max)
         _, final = simulate(config)
-        rows.append((N, _final_errors(config, grid, final)))
+        rows.append((N, _final_errors(config, final)))
     orders = {}
     for name in COMPONENT_NAMES:
         seq = [(N, errs[name]) for N, errs in rows]

@@ -114,14 +114,13 @@ def rk_step(state, dt, tab):
     return state.copy_with(qn, t0 + dt)
 
 
-def cfl_dt(grid, params, cfl, strict=False):
-    """Time step from the CFL number.
+def cfl_dt(grid, params, cfl):
+    """Time step dt = cfl/(c0/dx + c0/dy) from the CFL number.
 
-    Default mode uses dt = cfl/(c0/dx + c0/dy) (the convention of all
-    convergence/energy runs, where c0 = ch); strict mode replaces c0 by
-    max(c0, ch) so the fastest characteristic is honoured when ch > c0.
+    This is the convention of all convergence/energy runs, where c0 = ch; it
+    does not honour a faster cleaning speed ch > c0.
     """
     if not (0.0 < cfl <= 1.0):
         raise ValueError("cfl must be in (0, 1], got %r" % (cfl,))
-    s = max(params.c0, params.ch) if strict else params.c0
-    return cfl / (s / grid.dx + s / grid.dy)
+    c0 = params.c0
+    return cfl / (c0 / grid.dx + c0 / grid.dy)

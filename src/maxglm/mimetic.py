@@ -18,19 +18,6 @@ d/dz = 0, but vector fields keep all three components.
 import numpy as np
 
 
-def stencil_weights(dx, dy):
-    """The shared 2x2 stencil weights (wx, wy) over neighbour offsets {0,1}^2.
-
-    wx[a, b] is the x-weight of the neighbour at offset (a, b) relative to the
-    lower-left corner of the 2x2 patch; each row of weights sums to zero, so
-    every operator annihilates constants exactly.  The same pattern serves
-    both directions (for vertex->cell the patch sits at offsets {-1,0}^2).
-    """
-    wx = np.array([[-1.0, -1.0], [1.0, 1.0]]) / (2.0 * dx)
-    wy = np.array([[-1.0, 1.0], [-1.0, 1.0]]) / (2.0 * dy)
-    return wx, wy
-
-
 def _dx_cv(u, g):
     up = np.roll(u, -1, 0)
     return (np.roll(up, -1, 1) + up - np.roll(u, -1, 1) - u) / (2.0 * g.dx)

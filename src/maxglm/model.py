@@ -46,42 +46,6 @@ class ModelParams:
         return "ModelParams(c0=%g, ch=%g)" % (self.c0, self.ch)
 
 
-class State:
-    """One point value of the conserved vector, split into named parts.
-
-    Mostly a convenience for tests and initial data; the solvers work on
-    (..., 8) arrays directly.
-    """
-
-    __slots__ = ("B", "phi", "E", "psi")
-
-    def __init__(self, B=(0.0, 0.0, 0.0), phi=0.0, E=(0.0, 0.0, 0.0), psi=0.0):
-        self.B = np.asarray(B, dtype=float)
-        self.E = np.asarray(E, dtype=float)
-        if self.B.shape != (3,) or self.E.shape != (3,):
-            raise ValueError("B and E must be 3-vectors")
-        self.phi = float(phi)
-        self.psi = float(psi)
-
-    def as_vector(self):
-        q = np.empty(8)
-        q[_B] = self.B
-        q[PHI] = self.phi
-        q[_E] = self.E
-        q[PSI] = self.psi
-        return q
-
-    @classmethod
-    def from_vector(cls, q):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (8,):
-            raise ValueError("expected an 8-vector, got shape %r" % (q.shape,))
-        return cls(B=q[_B], phi=q[PHI], E=q[_E], psi=q[PSI])
-
-    def __repr__(self):
-        return "State(B=%s, phi=%g, E=%s, psi=%g)" % (self.B, self.phi, self.E, self.psi)
-
-
 class SystemMatrices:
     """The symmetric flux matrices H1, H2, H3 plus the eigendecomposition of H1.
 

@@ -46,18 +46,15 @@ class CGConfig:
     tol      -- relative residual tolerance (volume-weighted norm; the weight
                 is uniform so plain Euclidean norms give the identical test)
     maxiter  -- iteration cap; 0 means 10 * (number of grid points)
-    iter_log -- optional list; when given, each solve appends its iteration
-                count (handy for reporting, never required)
     """
 
-    def __init__(self, tol=1e-12, maxiter=0, iter_log=None):
+    def __init__(self, tol=1e-12, maxiter=0):
         if not tol > 0.0:
             raise ValueError("tol must be positive")
         if maxiter < 0:
             raise ValueError("maxiter must be >= 1 (or 0 for the default)")
         self.tol = float(tol)
         self.maxiter = int(maxiter)
-        self.iter_log = iter_log
 
 
 class NonConvergence(RuntimeError):
@@ -114,8 +111,6 @@ def cg_solve(apply_op, rhs, cfg=None):
             r_true = b - apply_op(x)
             rt = _dot(r_true, r_true)
             if rt <= tol2:
-                if cfg.iter_log is not None:
-                    cfg.iter_log.append(it)
                 return x
             r = r_true
             d = r.copy()

@@ -52,6 +52,21 @@ def test_run_reports_bad_override(capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [
+    ["ic=gauss_t1", "sigma=1e-3", "nx=8", "ny=8"],  # samples to all-zero data
+    ["sigma=0"],
+    ["t_end=nan"],
+    ["t_end=inf"],
+])
+def test_run_rejects_degenerate_configs(capsys, overrides):
+    rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_convergence_subcommand(tmp_path, capsys):
     out = tmp_path / "conv"
     rc = main(["convergence", "--scheme", "htc", "--n", "8,16",

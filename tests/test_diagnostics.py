@@ -143,6 +143,12 @@ def test_series_relative_error_and_monotone_time():
         s.append(0.5, 2.0)
 
 
+def test_series_rejects_zero_initial_energy():
+    # the relative drift divides by the first energy
+    with pytest.raises(ValueError, match="initial energy is 0"):
+        DiagnosticsSeries().append(0.0, 0.0)
+
+
 def test_energy_csv_round_trip(tmp_path):
     s = DiagnosticsSeries()
     s.append(0.0, 1.0 / 3.0, div_B=1e-16, div_E=2e-16)

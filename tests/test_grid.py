@@ -1,12 +1,11 @@
-"""Grid, sampling, norms and snapshot round trips."""
+"""Grid, norms and snapshot round trips."""
 
 import math
 
 import numpy as np
 import pytest
 
-from maxglm.grid import (CellField, Grid2D, VertexField, l2_error, l2_norm,
-                         read_snapshot, sample, wrap, write_snapshot)
+from maxglm.grid import Grid2D, l2_norm, read_snapshot, write_snapshot
 
 
 def test_cell_centers_are_midpoints():
@@ -32,43 +31,6 @@ def test_grid_validation():
         Grid2D(4, 4).points("edges")
 
 
-def test_wrap_is_total_and_periodic():
-    for n in (3, 8):
-        for i in range(-2 * n, 2 * n):
-            assert 0 <= wrap(i, n) < n
-            assert wrap(i + n, n) == wrap(i, n)
-
-
-def test_sample_constant():
-    g = Grid2D(5, 7)
-    u = sample(g, lambda X, Y: 3.0, "cells")
-    assert u.shape == (5, 7)
-    assert np.all(u == 3.0)
-
-
-def test_sample_matches_scripted_evaluation():
-    g = Grid2D(20, 20)
-    u = sample(g, lambda X, Y: np.sin(np.pi * (X - Y)), "cells")
-    for i in (0, 7, 19):
-        for j in (0, 11, 19):
-            x = g.x_min + (i + 0.5) * g.dx
-            y = g.y_min + (j + 0.5) * g.dy
-            assert u[i, j] == pytest.approx(math.sin(math.pi * (x - y)), abs=1e-15)
-
-
-def test_sample_vector_shapes():
-    g = Grid2D(4, 6)
-    const = sample(g, lambda X, Y: np.array([1.0, 2.0, 3.0]), "vertices")
-    assert const.shape == (4, 6, 3)
-    assert np.all(const[..., 2] == 3.0)
-    stacked = sample(g, lambda X, Y: np.stack([X, Y, 0 * X]), "cells")
-    assert stacked.shape == (4, 6, 3)
-    X, _ = g.cell_centers()
-    assert np.array_equal(stacked[..., 0], X)
-    with pytest.raises(ValueError):
-        sample(g, lambda X, Y: np.zeros((2, 2)), "cells")
-
-
 def test_l2_norm_examples():
     g = Grid2D(10, 10)
     assert l2_norm(g, np.zeros((10, 10))) == 0.0
@@ -80,8 +42,8 @@ def test_l2_norm_planar_profile():
     # integral of sin^2 over the periodic box is half the area; the midpoint
     # rule is exact for this trigonometric integrand
     g = Grid2D(160, 160)
-    u = sample(g, lambda X, Y: np.sin(np.pi * (X - Y)), "cells")
-    assert l2_norm(g, u) == pytest.approx(math.sqrt(2.0), abs=1e-3)
+    X, Y = g.cell_centers()
+    assert l2_norm(g, np.sin(np.pi * (X - Y))) == pytest.approx(math.sqrt(2.0), abs=1e-3)
 
 
 def test_l2_norm_scaling_and_triangle():
@@ -96,36 +58,9 @@ def test_l2_norm_scaling_and_triangle():
 def test_l2_norm_accepts_fields_and_vectors():
     g = Grid2D(6, 6)
     vals = np.ones((6, 6, 3))
-    f = CellField(g, vals)
-    expected = math.sqrt(g.cell_volume * vals.size)
-    assert l2_norm(g, f) == pytest.approx(expected)
-    assert l2_norm(g, vals) == pytest.approx(expected)
-
-
-def test_l2_error_examples():
-    g = Grid2D(8, 8)
-    rng = np.random.default_rng(7)
-    u = rng.standard_normal((8, 8))
-    assert l2_error(g, u, u) == 0.0
-    assert l2_error(g, u, np.zeros_like(u)) == pytest.approx(l2_norm(g, u))
-    # direct-summation oracle
-    v = rng.standard_normal((8, 8))
-    oracle = math.sqrt(g.dx * g.dy * np.sum((u - v) ** 2))
-    assert l2_error(g, u, v) == pytest.approx(oracle, rel=1e-14)
-
-
-def test_l2_error_shape_mismatch():
-    g = Grid2D(8, 8)
-    with pytest.raises(ValueError):
-        l2_error(g, np.zeros((8, 8)), np.zeros((8, 8, 3)))
-
-
-def test_field_shape_validation():
-    g = Grid2D(4, 4)
-    with pytest.raises(ValueError):
-        VertexField(g, np.zeros((4, 5)))
-    f = CellField(g, np.zeros((4, 4, 3)))
-    assert f.components == 3 and f.location == "cells"
+    # a 3-vector field sums its components' squares: sqrt(3) times one component's norm
+    assert l2_norm(g, vals) == pytest.approx(math.sqrt(g.cell_volume * vals.size))
+    assert l2_norm(g, vals) == pytest.approx(math.sqrt(3.0) * l2_norm(g, vals[..., 0]))
 
 
 def test_snapshot_round_trip_scalar(tmp_path):

@@ -19,7 +19,6 @@ from maxglm.harness import (
     make_config,
     parse_config_file,
     resolve_output_dir,
-    run,
     simulate,
     study_convergence,
     summarize_ap,
@@ -88,6 +87,10 @@ def test_make_config_rejects_bad_override():
         (dict(t_end=-1.0), "t_end"),
         (dict(cg_tol=0.0), "cg_tol"),
         (dict(snapshot_every=-1), "nonnegative"),
+        (dict(t_end=math.nan), "t_end must be finite"),
+        (dict(t_end=math.inf), "t_end must be finite"),
+        (dict(sigma=0.0), "sigma"),
+        (dict(sigma=-0.1), "sigma"),
     ],
 )
 def test_config_validation_errors(kwargs, match):
@@ -147,7 +150,7 @@ def test_initial_fields_dispatch():
 # --- the driver -------------------------------------------------------------
 
 def test_run_zero_time_is_single_row():
-    series = run(RunConfig(nx=8, ny=8, t_end=0.0))
+    series, _ = simulate(RunConfig(nx=8, ny=8, t_end=0.0))
     assert len(series) == 1
     assert series.rel_energy_err == [0.0]
 

@@ -224,7 +224,6 @@ def test_cfl_dt_examples():
     grid = Grid2D(10, 10, 0.0, 1.0, 0.0, 1.0)
     params = ModelParams(c0=1.0, ch=10.0)
     assert cfl_dt(grid, params, 0.9) == pytest.approx(0.045)
-    assert cfl_dt(grid, params, 0.9, strict=True) == pytest.approx(0.0045)
 
 
 @pytest.mark.parametrize("cfl", [0.0, -0.5, 1.5])

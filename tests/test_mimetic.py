@@ -7,16 +7,16 @@ wrapped indices, independently of the vectorized np.roll implementation.
 import numpy as np
 import pytest
 
-from maxglm.grid import Grid2D, wrap
+from maxglm.grid import Grid2D
 from maxglm.mimetic import (check_identities, curl_c2v, curl_v2c, div_c2v,
-                            div_v2c, grad_c2v, grad_v2c, stencil_weights)
+                            div_v2c, grad_c2v, grad_v2c)
 
 
 def _dx_cv_oracle(u, g):
     out = np.empty_like(u)
     for i in range(g.nx):
         for j in range(g.ny):
-            i1, j1 = wrap(i + 1, g.nx), wrap(j + 1, g.ny)
+            i1, j1 = (i + 1) % g.nx, (j + 1) % g.ny
             out[i, j] = (u[i1, j1] + u[i1, j] - u[i, j1] - u[i, j]) / (2 * g.dx)
     return out
 
@@ -25,7 +25,7 @@ def _dy_cv_oracle(u, g):
     out = np.empty_like(u)
     for i in range(g.nx):
         for j in range(g.ny):
-            i1, j1 = wrap(i + 1, g.nx), wrap(j + 1, g.ny)
+            i1, j1 = (i + 1) % g.nx, (j + 1) % g.ny
             out[i, j] = (u[i1, j1] + u[i, j1] - u[i1, j] - u[i, j]) / (2 * g.dy)
     return out
 
@@ -34,7 +34,7 @@ def _dx_vc_oracle(v, g):
     out = np.empty_like(v)
     for i in range(g.nx):
         for j in range(g.ny):
-            i0, j0 = wrap(i - 1, g.nx), wrap(j - 1, g.ny)
+            i0, j0 = (i - 1) % g.nx, (j - 1) % g.ny
             out[i, j] = (v[i, j] + v[i, j0] - v[i0, j] - v[i0, j0]) / (2 * g.dx)
     return out
 
@@ -43,7 +43,7 @@ def _dy_vc_oracle(v, g):
     out = np.empty_like(v)
     for i in range(g.nx):
         for j in range(g.ny):
-            i0, j0 = wrap(i - 1, g.nx), wrap(j - 1, g.ny)
+            i0, j0 = (i - 1) % g.nx, (j - 1) % g.ny
             out[i, j] = (v[i, j] + v[i0, j] - v[i, j0] - v[i0, j0]) / (2 * g.dy)
     return out
 
@@ -178,20 +178,3 @@ def test_curl_is_self_adjoint(grid):
         lhs = np.sum(curl_c2v(grid, A) * C)
         rhs = np.sum(A * curl_v2c(grid, C))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
-
-
-def test_stencil_weights_match_edge_normal_construction():
-    # geometric cross-check on one reference patch: the weight of each of the
-    # four cells around a vertex is (1/|Omega|) * sum of edge-length * normal
-    # contributions, i.e. (+-dy/2, +-dx/2) / (dx dy)
-    dx, dy = 0.25, 0.5
-    wx, wy = stencil_weights(dx, dy)
-    vol = dx * dy
-    for a in (0, 1):  # x-offset of the cell within the patch
-        for b in (0, 1):  # y-offset
-            lx = (1.0 if a else -1.0) * (dy / 2.0)
-            ly = (1.0 if b else -1.0) * (dx / 2.0)
-            assert wx[a, b] == pytest.approx(lx / vol)
-            assert wy[a, b] == pytest.approx(ly / vol)
-    # each direction's weights cancel (exactness on constants)
-    assert wx.sum() == 0.0 and wy.sum() == 0.0

@@ -8,9 +8,14 @@ matrix assembly they are checking.
 import numpy as np
 import pytest
 
-from maxglm.model import (EnergyModel, ModelParams, State, assemble_matrices,
+from maxglm.model import (EnergyModel, ModelParams, assemble_matrices,
                           energy_density, energy_flux, main_field,
                           max_signal_speed, physical_flux)
+
+
+def state_vector(B=(0.0, 0.0, 0.0), phi=0.0, E=(0.0, 0.0, 0.0), psi=0.0):
+    """q = (B1, B2, B3, phi, E1, E2, E3, psi) from its named parts."""
+    return np.array([*B, phi, *E, psi], dtype=float)
 
 
 def quad_model(c0=1.0, ch=1.0):
@@ -28,7 +33,7 @@ def test_energy_density_zero_state():
 
 
 def test_energy_density_unit_fields_quadratic():
-    q = State(B=(1, 0, 0), E=(0, 1, 0)).as_vector()
+    q = state_vector(B=(1, 0, 0), E=(0, 1, 0))
     assert energy_density(q, quad_model()) == pytest.approx(1.0)
 
 
@@ -91,7 +96,7 @@ def test_flux_zero_state():
 
 def test_flux_unit_phi_state():
     # a pure phi state fluxes into B1 with speed ch
-    q = State(phi=1.0).as_vector()
+    q = state_vector(phi=1.0)
     f = physical_flux(q, quad_model(c0=1.0, ch=1.0), 1)
     expected = np.zeros(8)
     expected[0] = 1.0
@@ -99,7 +104,7 @@ def test_flux_unit_phi_state():
 
 
 def test_flux_unit_E3_state():
-    q = State(E=(0, 0, 1)).as_vector()
+    q = state_vector(E=(0, 0, 1))
     f = physical_flux(q, quad_model(), 1)
     expected = np.zeros(8)
     expected[1] = -1.0  # -c0 in the B2 slot
@@ -122,12 +127,12 @@ def test_flux_rejects_bad_axis():
 
 
 def test_energy_flux_poynting_example():
-    q = State(B=(0, 0, 1), E=(0, 1, 0)).as_vector()
+    q = state_vector(B=(0, 0, 1), E=(0, 1, 0))
     assert energy_flux(q, quad_model(), 1) == pytest.approx(1.0)
 
 
 def test_energy_flux_cleaning_example():
-    q = State(B=(1, 0, 0), phi=1.0).as_vector()
+    q = state_vector(B=(1, 0, 0), phi=1.0)
     assert energy_flux(q, quad_model(c0=1.0, ch=2.0), 1) == pytest.approx(2.0)
 
 
@@ -210,12 +215,3 @@ def test_params_reject_nonpositive_speeds():
         ModelParams(0.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(1.0, -2.0)
-
-
-def test_state_round_trip():
-    q = np.arange(8.0)
-    s = State.from_vector(q)
-    assert np.array_equal(s.as_vector(), q)
-    assert s.phi == 3.0 and s.psi == 7.0
-    with pytest.raises(ValueError):
-        State.from_vector(np.zeros(7))

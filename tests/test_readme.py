@@ -1,0 +1,22 @@
+"""The README's library example runs as written."""
+
+import pathlib
+import re
+
+import maxglm
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_block_runs():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], str(README), "exec"), namespace)
+    # the drift its comment quotes
+    assert namespace["series"].max_abs_energy_error() < 1e-14
+
+
+def test_all_exports_resolve():
+    missing = [name for name in maxglm.__all__ if not hasattr(maxglm, name)]
+    assert missing == []
