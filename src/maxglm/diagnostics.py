@@ -42,7 +42,7 @@ class DiagnosticsSeries:
         return len(self.t)
 
     def max_abs_energy_error(self):
-        return max(abs(e) for e in self.rel_energy_err)
+        return float(np.max(np.abs(self.rel_energy_err)))  # NaN if any row is NaN
 
     def write_energy_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:

@@ -79,8 +79,9 @@ class RunConfig:
             raise ValueError("t_end must be finite and nonnegative")
         if not self.sigma > 0.0:
             raise ValueError("sigma must be positive")
-        if not self.cg_tol > 0.0:
-            raise ValueError("cg_tol must be positive")
+        if not 0.0 < self.cg_tol < math.inf:
+            raise ValueError("cg_tol must be finite and positive")
+        ModelParams(self.c0, self.ch)  # finite, positive wave speeds
         if self.snapshot_every < 0 or self.cg_maxiter < 0:
             raise ValueError("counts must be nonnegative")
 
@@ -258,6 +259,10 @@ def simulate(config):
                   config.y_min, config.y_max)
     params = ModelParams(config.c0, config.ch)
     dt0 = config.dt if config.dt is not None else htc.cfl_dt(grid, params, config.cfl)
+    eps = 1e-12 * max(1.0, config.t_end)  # the loop's end tolerance
+    if dt0 <= eps:
+        raise ValueError("time step %.3g is too small to advance t to t_end=%g "
+                         "(the loop resolves steps above %.3g)" % (dt0, config.t_end, eps))
     outdir = resolve_output_dir(config.output_dir)
     meta = config.as_dict()
     meta["config_hash"] = diagnostics.config_hash(meta)
@@ -265,10 +270,14 @@ def simulate(config):
     locations = HTC_LOCATIONS if config.scheme == "htc" else SIMM_LOCATIONS
     state, advance, energy, divergences = _setup(config, grid, params)
 
-    eps = 1e-12 * max(1.0, config.t_end)
+    dt = dt0
     divs = divergences(state, state)  # 0.5 (u + u) == u: the initial divergences
     for step in itertools.count():
-        series.append(state.t, energy(state), *divs)
+        e = energy(state)
+        if not math.isfinite(e):
+            raise RuntimeError("run aborted in step %d (t=%.6g, dt=%.6g): energy is %r, "
+                               "the state is no longer finite" % (step, state.t, dt, e))
+        series.append(state.t, e, *divs)
         if outdir and config.snapshot_every and step % config.snapshot_every == 0:
             _write_state_snapshots(outdir, step, grid, _state_fields(state), locations, state.t)
         if config.t_end - state.t <= eps:

@@ -17,8 +17,9 @@ For Maxwell-GLM the fluxes are linear in the main field, f_k = H_k p with H_k
 symmetric, so the numerator of alpha, (F_r - F_l) + (p_l + p_r).(f_l - f_r)/2,
 vanishes identically for every energy potential and fhat is the central flux.
 The solver therefore applies it as a periodic central difference of the main
-field, dq/dt = -(delta_x p H1 + delta_y p H2); abgrall_flux is kept as the
-pointwise general form that the compatibility checks measure.  Time
+field, dq/dt = -(delta_x p H1 + delta_y p H2), evaluated with one main-field
+pass and one difference buffer reused for both axes; abgrall_flux is kept as
+the pointwise general form that the compatibility checks measure.  Time
 integration is plain explicit Runge-Kutta (see tableaux).
 """
 
@@ -76,9 +77,16 @@ def abgrall_flux(qL, qR, n, model):
     return 0.5 * (fL + fR) - alpha[..., None] * dp
 
 
-def _central_difference(p, axis, h):
-    """Periodic (p[i+1] - p[i-1]) / (2h) along one grid axis."""
-    return (np.roll(p, -1, axis=axis) - np.roll(p, 1, axis=axis)) / (2.0 * h)
+def _central_difference(p, axis, h, out=None):
+    """Periodic (p[i+1] - p[i-1]) / (2h) along grid axis 0 or 1, into out if given."""
+    if out is None:
+        out = np.empty_like(p)
+    pv, ov = np.moveaxis(p, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(pv[2:], pv[:-2], out=ov[1:-1])
+    np.subtract(pv[1], pv[-1], out=ov[0])
+    np.subtract(pv[0], pv[-2], out=ov[-1])
+    out /= 2.0 * h
+    return out
 
 
 def semidiscrete_rhs(state):
@@ -86,8 +94,10 @@ def semidiscrete_rhs(state):
     g = state.grid
     mats = state.model.matrices
     p = main_field(state.q, state.model)
-    return -(_central_difference(p, 0, g.dx) @ mats.H1
-             + _central_difference(p, 1, g.dy) @ mats.H2)
+    d = _central_difference(p, 0, g.dx)
+    rhs = d @ mats.H1
+    rhs += _central_difference(p, 1, g.dy, out=d) @ mats.H2
+    return np.negative(rhs, out=rhs)
 
 
 def rk_step(state, dt, tab):

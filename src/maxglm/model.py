@@ -19,13 +19,12 @@ Every function in this module is vectorized: q may be a single (8,) vector or
 an array of states with the component axis last, shape (..., 8).
 """
 
+import math
+
 import numpy as np
 
 # Slot indices of the components inside the state vector.
 B1, B2, B3, PHI, E1, E2, E3, PSI = range(8)
-
-_B = slice(B1, B3 + 1)
-_E = slice(E1, E3 + 1)
 
 QUADRATIC = "quadratic"
 EXPONENTIAL = "exponential"
@@ -37,8 +36,9 @@ class ModelParams:
     def __init__(self, c0=1.0, ch=1.0):
         c0 = float(c0)
         ch = float(ch)
-        if not (c0 > 0.0 and ch > 0.0):
-            raise ValueError("wave speeds must be positive, got c0=%r ch=%r" % (c0, ch))
+        if not (0.0 < c0 < math.inf and 0.0 < ch < math.inf):
+            raise ValueError("wave speeds must be finite and positive, got c0=%r ch=%r"
+                             % (c0, ch))
         self.c0 = c0
         self.ch = ch
 
@@ -126,40 +126,49 @@ class EnergyModel:
         return "EnergyModel(%r, %r)" % (self.kind, self.params)
 
 
+def _squared_magnitudes(q):
+    """(..., 4) array [|B|^2, phi^2, |E|^2, psi^2] of states q, shape (..., 8).
+
+    The 3-vector sums add in component order, (q0^2 + q1^2) + q2^2, which is
+    bitwise what np.sum over a 3-element last axis gives, at a fraction of
+    the cost of that reduction.
+    """
+    sq = q * q
+    sq = sq.reshape(sq.shape[:-1] + (2, 4))  # rows (B1, B2, B3, phi), (E1, E2, E3, psi)
+    s = np.add(sq[..., 0], sq[..., 1])
+    s += sq[..., 2]
+    return np.stack([s, sq[..., 3]], axis=-1).reshape(q.shape[:-1] + (4,))
+
+
 def energy_density(q, model):
     """Pointwise total energy density E(q)."""
-    q = np.asarray(q, dtype=float)
-    B2 = np.sum(q[..., _B] * q[..., _B], axis=-1)
-    E2 = np.sum(q[..., _E] * q[..., _E], axis=-1)
-    phi = q[..., PHI]
-    psi = q[..., PSI]
+    s = _squared_magnitudes(np.asarray(q, dtype=float))
     if model.kind == QUADRATIC:
-        return 0.5 * (B2 + E2) + 0.5 * (phi * phi + psi * psi)
+        return 0.5 * (s[..., 0] + s[..., 2]) + 0.5 * (s[..., 1] + s[..., 3])
     c0, ch = model.params.c0, model.params.ch
     w = ch * ch / c0
-    return (
-        c0 * np.exp(0.5 * B2)
-        + c0 * np.exp(0.5 * E2)
-        + w * np.exp(0.5 * phi * phi)
-        + w * np.exp(0.5 * psi * psi)
-    )
+    s *= 0.5
+    np.exp(s, out=s)
+    return c0 * s[..., 0] + c0 * s[..., 2] + w * s[..., 1] + w * s[..., 3]
 
 
 def main_field(q, model):
-    """Dual variables p = dE/dq (the main field).  Identity for 'quadratic'."""
+    """Dual variables p = dE/dq (the main field).  Identity for 'quadratic'.
+
+    Exponential: p = c0 e^{|B|^2/2} B, w e^{phi^2/2} phi, c0 e^{|E|^2/2} E,
+    w e^{psi^2/2} psi with w = ch^2/c0, from one exp over the four squared
+    magnitudes.
+    """
     q = np.asarray(q, dtype=float)
     if model.kind == QUADRATIC:
         return q.copy()
     c0, ch = model.params.c0, model.params.ch
     w = ch * ch / c0
-    B2 = np.sum(q[..., _B] * q[..., _B], axis=-1)
-    E2 = np.sum(q[..., _E] * q[..., _E], axis=-1)
-    p = np.empty_like(q)
-    p[..., _B] = c0 * np.exp(0.5 * B2)[..., None] * q[..., _B]
-    p[..., _E] = c0 * np.exp(0.5 * E2)[..., None] * q[..., _E]
-    p[..., PHI] = w * np.exp(0.5 * q[..., PHI] ** 2) * q[..., PHI]
-    p[..., PSI] = w * np.exp(0.5 * q[..., PSI] ** 2) * q[..., PSI]
-    return p
+    s = _squared_magnitudes(q)
+    s *= 0.5
+    np.exp(s, out=s)
+    s *= (c0, w, c0, w)
+    return np.repeat(s, (3, 1, 3, 1), axis=-1) * q
 
 
 def _H(model, k):

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (in-process via main())."""
 
+import numpy as np
 import pytest
 
 from maxglm.cli import main
@@ -57,12 +58,28 @@ def test_run_reports_bad_override(capsys):
     ["sigma=0"],
     ["t_end=nan"],
     ["t_end=inf"],
+    ["ch=inf", "nx=8", "ny=8", "t_end=0.2"],
+    ["scheme=simm", "ic=gauss_t2", "nx=8", "ny=8", "t_end=0.2", "cg_tol=inf"],
+    ["c0=1e300", "nx=8", "ny=8", "t_end=0.2"],  # dt ~ 1e-301 would never reach t_end
 ])
 def test_run_rejects_degenerate_configs(capsys, overrides):
     rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_run_aborts_on_non_finite_energy(capsys):
+    # ch far above the c0-based CFL step: the state overflows within 9 steps
+    overrides = ["ch=1e5", "nx=8", "ny=8", "t_end=1", "rk=rk4"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: run aborted in step ")
+    assert "energy is inf" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
 

@@ -149,6 +149,14 @@ def test_series_rejects_zero_initial_energy():
         DiagnosticsSeries().append(0.0, 0.0)
 
 
+def test_series_max_error_propagates_nan():
+    s = DiagnosticsSeries()
+    s.append(0.0, 1.0)
+    s.append(0.1, 1.5)
+    s.append(0.2, float("nan"))
+    assert np.isnan(s.max_abs_energy_error())
+
+
 def test_energy_csv_round_trip(tmp_path):
     s = DiagnosticsSeries()
     s.append(0.0, 1.0 / 3.0, div_B=1e-16, div_E=2e-16)

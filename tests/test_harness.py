@@ -91,6 +91,10 @@ def test_make_config_rejects_bad_override():
         (dict(t_end=math.inf), "t_end must be finite"),
         (dict(sigma=0.0), "sigma"),
         (dict(sigma=-0.1), "sigma"),
+        (dict(ch=math.inf), "wave speeds must be finite and positive"),
+        (dict(c0=math.inf), "wave speeds must be finite and positive"),
+        (dict(c0=0.0), "wave speeds must be finite and positive"),
+        (dict(cg_tol=math.inf), "cg_tol must be finite and positive"),
     ],
 )
 def test_config_validation_errors(kwargs, match):

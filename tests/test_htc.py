@@ -1,10 +1,15 @@
 """Tests for the collocated finite volume scheme and its compatible flux."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from maxglm.grid import Grid2D
-from maxglm.htc import FVState, abgrall_flux, cfl_dt, rk_step, semidiscrete_rhs
+from maxglm.diagnostics import collocated_divergence
+from maxglm.grid import Grid2D, l2_norm
+from maxglm.harness import ic_planar, pack_state
+from maxglm.htc import (FVState, _central_difference, abgrall_flux, cfl_dt, rk_step,
+                        semidiscrete_rhs)
 from maxglm.model import (
     EnergyModel,
     ModelParams,
@@ -184,6 +189,53 @@ def test_rhs_matches_face_flux_form(kind, amplitude):
         ref = _two_flux_rhs(state)
         rhs = semidiscrete_rhs(state)
         assert np.max(np.abs(rhs - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _roll_difference(p, axis, h):
+    """Periodic central difference from two rolled copies: the reference form."""
+    return (np.roll(p, -1, axis=axis) - np.roll(p, 1, axis=axis)) / (2.0 * h)
+
+
+def _bitwise_equal(a, b):
+    """Same shape and values, NaNs equal, and the same sign on every zero."""
+    return (np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("nx,ny,y_max", [(24, 16, 0.5), (80, 80, 1.0)])
+@pytest.mark.parametrize("amplitude", [1e-3, 0.1, 1.0, 2.0])
+def test_rhs_and_divergence_match_roll_difference(nx, ny, y_max, amplitude):
+    grid = Grid2D(nx, ny, -1.0, 1.0, -1.0, y_max)
+    rng = np.random.default_rng(17)
+    noisy = amplitude * rng.standard_normal((nx, ny, 8))
+    noisy[..., 6] = 0.0 * noisy[..., 6]  # signed zeros in E3 must come through unchanged
+    # on a square grid the plane wave's x and y differences cancel exactly in
+    # some cells, where -(a + b) and (-a) + (-b) differ in the sign of zero
+    planar = pack_state(ic_planar(grid))
+    for model, q in itertools.product(_models(c0=1.0, ch=1.7), (noisy, planar)):
+        state = FVState(grid, model, q)
+        mats = model.matrices
+        p = main_field(q, model)
+        ref = -(_roll_difference(p, 0, grid.dx) @ mats.H1
+                + _roll_difference(p, 1, grid.dy) @ mats.H2)
+        assert _bitwise_equal(semidiscrete_rhs(state), ref)
+        for field, u in (("B", q[..., 0:3]), ("E", q[..., 4:7])):
+            div = (_roll_difference(u[..., 0], 0, grid.dx)
+                   + _roll_difference(u[..., 1], 1, grid.dy))
+            assert collocated_divergence(state, field) == l2_norm(grid, div)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_central_difference_into_buffer(axis):
+    rng = np.random.default_rng(19)
+    for shape in ((7, 5, 8), (2, 3)):
+        p = rng.standard_normal(shape)
+        p_before = p.copy()
+        out = np.full(shape, np.nan)
+        got = _central_difference(p, axis, 0.1, out=out)
+        assert got is out
+        assert _bitwise_equal(out, _roll_difference(p, axis, 0.1))
+        assert _bitwise_equal(p, p_before)
 
 
 def _list_rk_step(state, dt, tab):

@@ -77,6 +77,54 @@ def test_main_field_matches_energy_gradient(make):
             assert p[i] == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
+# --- equivalence with the per-slice formulas -----------------------------------
+
+def _per_slice_energy_density(q, model):
+    """E(q) with np.sum over each 3-vector: the reference the fast form must match."""
+    B2 = np.sum(q[..., 0:3] * q[..., 0:3], axis=-1)
+    E2 = np.sum(q[..., 4:7] * q[..., 4:7], axis=-1)
+    phi, psi = q[..., 3], q[..., 7]
+    if model.kind == "quadratic":
+        return 0.5 * (B2 + E2) + 0.5 * (phi * phi + psi * psi)
+    c0, ch = model.params.c0, model.params.ch
+    w = ch * ch / c0
+    return (c0 * np.exp(0.5 * B2) + c0 * np.exp(0.5 * E2)
+            + w * np.exp(0.5 * phi * phi) + w * np.exp(0.5 * psi * psi))
+
+
+def _per_slice_main_field(q, model):
+    """p(q) with np.sum over each 3-vector and one exp per field."""
+    if model.kind == "quadratic":
+        return q.copy()
+    c0, ch = model.params.c0, model.params.ch
+    w = ch * ch / c0
+    p = np.empty_like(q)
+    for v in (slice(0, 3), slice(4, 7)):
+        p[..., v] = c0 * np.exp(0.5 * np.sum(q[..., v] * q[..., v], axis=-1))[..., None] * q[..., v]
+    for s in (3, 7):
+        p[..., s] = w * np.exp(0.5 * q[..., s] ** 2) * q[..., s]
+    return p
+
+
+def _bitwise_equal(a, b):
+    """Same shape and values, NaNs equal, and the same sign on every zero."""
+    return (np.shape(a) == np.shape(b) and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("shape", [(8,), (5, 8), (24, 16, 8), (80, 80, 8)])
+@pytest.mark.parametrize("amplitude", [1e-3, 0.1, 1.0, 2.0, 40.0])
+def test_main_field_and_energy_match_per_slice_sums(shape, amplitude):
+    # 40 overflows exp to inf, and the zeroed E3 slot then gives inf * 0 = nan
+    rng = np.random.default_rng(6)
+    q = amplitude * rng.standard_normal(shape)
+    q[..., 6] = 0.0
+    for model in (quad_model(), exp_model(), exp_model(1.3, 2.7)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _bitwise_equal(main_field(q, model), _per_slice_main_field(q, model))
+            assert _bitwise_equal(energy_density(q, model), _per_slice_energy_density(q, model))
+
+
 # --- fluxes -------------------------------------------------------------------
 
 def flux_oracle(q, c0, ch, k):
@@ -215,3 +263,9 @@ def test_params_reject_nonpositive_speeds():
         ModelParams(0.0, 1.0)
     with pytest.raises(ValueError):
         ModelParams(1.0, -2.0)
+
+
+@pytest.mark.parametrize("c0,ch", [(1.0, np.inf), (np.inf, 1.0), (np.nan, 1.0), (1.0, np.nan)])
+def test_params_reject_nonfinite_speeds(c0, ch):
+    with pytest.raises(ValueError, match="finite and positive"):
+        ModelParams(c0, ch)
