@@ -1,0 +1,163 @@
+"""np.roll reference forms of the mimetic stencils, the implicit operators and CG.
+
+These are the straightforward allocating implementations that the package's
+padded-buffer stencil, fused operators and in-place CG must reproduce bit for
+bit: every expression below keeps the operation order of the formulas in
+`maxglm.mimetic` and `maxglm.simm`.
+"""
+
+import math
+
+import numpy as np
+
+from maxglm.simm import NonConvergence
+
+
+def dx_cv(u, g):
+    up = np.roll(u, -1, 0)
+    return (np.roll(up, -1, 1) + up - np.roll(u, -1, 1) - u) / (2.0 * g.dx)
+
+
+def dy_cv(u, g):
+    up = np.roll(u, -1, 1)
+    return (np.roll(up, -1, 0) + up - np.roll(u, -1, 0) - u) / (2.0 * g.dy)
+
+
+def dx_vc(v, g):
+    vm = np.roll(v, 1, 0)
+    return (v + np.roll(v, 1, 1) - vm - np.roll(vm, 1, 1)) / (2.0 * g.dx)
+
+
+def dy_vc(v, g):
+    vm = np.roll(v, 1, 1)
+    return (v + np.roll(v, 1, 0) - vm - np.roll(vm, 1, 0)) / (2.0 * g.dy)
+
+
+def _grad(dx, dy):
+    def grad(g, phi):
+        out = np.zeros(phi.shape + (3,))
+        out[..., 0] = dx(phi, g)
+        out[..., 1] = dy(phi, g)
+        return out
+    return grad
+
+
+def _div(dx, dy):
+    return lambda g, A: dx(A[..., 0], g) + dy(A[..., 1], g)
+
+
+def _curl(dx, dy):
+    def curl(g, A):
+        out = np.empty(A.shape)
+        out[..., 0] = dy(A[..., 2], g)
+        out[..., 1] = -dx(A[..., 2], g)
+        out[..., 2] = dx(A[..., 1], g) - dy(A[..., 0], g)
+        return out
+    return curl
+
+
+OPS = {
+    "grad_c2v": _grad(dx_cv, dy_cv), "div_c2v": _div(dx_cv, dy_cv),
+    "curl_c2v": _curl(dx_cv, dy_cv), "grad_v2c": _grad(dx_vc, dy_vc),
+    "div_v2c": _div(dx_vc, dy_vc), "curl_v2c": _curl(dx_vc, dy_vc),
+}
+
+
+def phi_operator(g, params, dt, phi_p):
+    c = 0.25 * dt * dt * params.ch * params.ch
+    return phi_p - c * OPS["div_c2v"](g, OPS["grad_v2c"](g, phi_p))
+
+
+def E_operator(g, params, dt, E_p):
+    cc = 0.25 * dt * dt * params.c0 * params.c0
+    ch2 = 0.25 * dt * dt * params.ch * params.ch
+    return (E_p
+            + cc * OPS["curl_c2v"](g, OPS["curl_v2c"](g, E_p))
+            - ch2 * OPS["grad_c2v"](g, OPS["div_v2c"](g, E_p)))
+
+
+def cg(apply_op, b, tol=1e-12):
+    """Allocating CG with a true-residual restart, as a bitwise reference."""
+    b2 = float(np.vdot(b, b))
+    if b2 == 0.0:
+        return np.zeros_like(b)
+    maxiter = 10 * b.shape[0] * b.shape[1]
+    tol2 = tol * tol * b2
+    x = np.zeros_like(b)
+    r = b.copy()
+    d = r.copy()
+    rs = b2
+    for it in range(1, maxiter + 1):
+        Ad = apply_op(d)
+        alpha = rs / float(np.vdot(d, Ad))
+        x += alpha * d
+        r -= alpha * Ad
+        rs_new = float(np.vdot(r, r))
+        if rs_new <= tol2:
+            r = b - apply_op(x)
+            rs = float(np.vdot(r, r))
+            if rs <= tol2:
+                return x
+            d = r.copy()
+            continue
+        d = r + (rs_new / rs) * d
+        rs = rs_new
+    raise NonConvergence(maxiter, math.sqrt(rs / b2))
+
+
+def step(state, dt, applies):
+    """The staggered step of `maxglm.simm.simm_step`, from the forms above.
+
+    Returns (B, psi, E, phi) and counts operator applications in `applies`.
+    """
+    g, m = state.grid, state.params
+    c0, ch = m.c0, m.ch
+    quarter = 0.25 * dt * dt
+
+    def counted(name, op):
+        def apply(u):
+            applies[name] += 1
+            return op(g, m, dt, u)
+        return apply
+
+    rhs_phi = (state.phi_p
+               - dt * ch * OPS["div_c2v"](g, state.B_c)
+               + quarter * ch * ch * OPS["div_c2v"](g, OPS["grad_v2c"](g, state.phi_p)))
+    phi_new = cg(counted("phi", phi_operator), rhs_phi)
+    rhs_E = (state.E_p
+             + dt * c0 * OPS["curl_c2v"](g, state.B_c)
+             - quarter * c0 * c0 * OPS["curl_c2v"](g, OPS["curl_v2c"](g, state.E_p))
+             - dt * ch * OPS["grad_c2v"](g, state.psi_c)
+             + quarter * ch * ch * OPS["grad_c2v"](g, OPS["div_v2c"](g, state.E_p)))
+    E_new = cg(counted("E", E_operator), rhs_E)
+    phi_half = 0.5 * (state.phi_p + phi_new)
+    E_half = 0.5 * (state.E_p + E_new)
+    B_new = (state.B_c
+             - dt * c0 * OPS["curl_v2c"](g, E_half)
+             - dt * ch * OPS["grad_v2c"](g, phi_half))
+    psi_new = state.psi_c - dt * ch * OPS["div_v2c"](g, E_half)
+    return B_new, psi_new, E_new, phi_new
+
+
+# grids for the bitwise checks: square, dx != dy, and the smallest shapes
+GRIDS = [
+    (160, 160, -1.0, 1.0, -1.0, 1.0),
+    (24, 16, -1.0, 1.0, -1.0, 0.5),
+    (2, 3, 0.0, 1.0, 0.0, 2.0),
+    (5, 2, 0.0, 3.0, -1.0, 1.0),
+]
+
+
+def same_bits(a, b):
+    """Equal values and equal sign bits (so +0.0 and -0.0 differ)."""
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def planted_fields(g, seed):
+    """Random scalar and vector fields; the vector's z-component is signed zeros."""
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal((g.nx, g.ny))
+    A = rng.standard_normal((g.nx, g.ny, 3))
+    A[..., 2] = np.where(rng.random((g.nx, g.ny)) < 0.5, 0.0, -0.0)
+    return phi, A

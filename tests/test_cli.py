@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (in-process via main())."""
 
-import numpy as np
+import warnings
+
 import pytest
 
 from maxglm.cli import main
@@ -72,11 +73,15 @@ def test_run_rejects_degenerate_configs(capsys, overrides):
 
 
 def test_run_aborts_on_non_finite_energy(capsys):
-    # ch far above the c0-based CFL step: the state overflows within 9 steps
+    # ch far above the c0-based CFL step: the state overflows within 9 steps.
+    # The run silences numpy's overflow warnings itself, so stderr carries
+    # only the abort.
     overrides = ["ch=1e5", "nx=8", "ny=8", "t_end=1", "rk=rk4"]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
     captured = capsys.readouterr()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert rc == 1
     assert captured.err.startswith("error: run aborted in step ")
     assert "energy is inf" in captured.err

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import reference_ops as ref
 
+from maxglm import simm
 from maxglm.diagnostics import staggered_divergences
 from maxglm.grid import Grid2D, l2_norm
 from maxglm.harness import SIMM_LOCATIONS, ic_gaussian, ic_planar
@@ -18,6 +20,7 @@ from maxglm.simm import (
     cg_solve,
     simm_step,
     total_energy_staggered,
+    workspace,
 )
 
 
@@ -82,6 +85,35 @@ def test_operators_symmetric_positive_definite(dt, ch):
             assert quad >= float(np.vdot(u, u)) * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("ch", [1.0, 7.0, 1e5])
+@pytest.mark.parametrize("shape", ref.GRIDS)
+def test_operators_match_roll_reference_bitwise(shape, ch):
+    g = Grid2D(*shape)
+    params = ModelParams(c0=1.0, ch=ch)
+    phi, E = ref.planted_fields(g, 14)
+    for dt in (1e-2, 0.3):
+        assert ref.same_bits(apply_phi_operator(g, params, dt, phi),
+                             ref.phi_operator(g, params, dt, phi))
+        assert ref.same_bits(apply_E_operator(g, params, dt, E),
+                             ref.E_operator(g, params, dt, E))
+
+
+def test_operator_workspace_is_reusable_and_private():
+    g = Grid2D(24, 16, -1.0, 1.0, -1.0, 0.5)
+    params = ModelParams(c0=1.0, ch=7.0)
+    rng = np.random.default_rng(15)
+    work = workspace(g)
+    for apply_op, shape in ((apply_phi_operator, (g.nx, g.ny)),
+                            (apply_E_operator, (g.nx, g.ny, 3))):
+        for _ in range(2):  # the second call finds the first one's data
+            u = rng.normal(size=shape)
+            before = u.copy()
+            got = apply_op(g, params, 0.05, u, work)
+            assert ref.same_bits(got, apply_op(g, params, 0.05, u))
+            assert ref.same_bits(u, before)
+            assert not any(np.shares_memory(got, buf) for buf in work)
+
+
 # --- conjugate gradient ----------------------------------------------------
 
 def test_cg_identity_operator_one_iteration():
@@ -121,6 +153,49 @@ def test_cg_nonconvergence_carries_progress():
     assert info.value.iterations == 2
     assert info.value.residual > 0.0
     assert "did not converge" in str(info.value)
+
+
+def test_cg_stops_when_true_residual_stagnates():
+    # at dt*ch = 1e3 rounding keeps the true residual near 1e-9 relative, so
+    # tol=1e-12 is out of reach: restarts stop improving, and CG must say so
+    # instead of restarting up to its iteration cap
+    g = _grid(16)
+    params = ModelParams(c0=1.0, ch=1e5)
+    b = np.random.default_rng(0).normal(size=(g.nx, g.ny, 3))
+    applies = []
+
+    def apply_op(u):
+        applies.append(1)
+        return apply_E_operator(g, params, 1e-2, u)
+
+    with pytest.raises(NonConvergence) as info:
+        cg_solve(apply_op, b, CGConfig(tol=1e-12))
+    assert len(applies) <= 250
+    assert info.value.residual > 1e-12
+
+
+def test_stiff_step_matches_allocating_reference(monkeypatch):
+    """simm_step, its fused operators and in-place CG against the np.roll step."""
+    # dx != dy, and x / (2h) differs from x * (1 / (2h)) for both spacings
+    g = Grid2D(16, 16, -1.1, 1.1, -1.25, 1.25)
+    params = ModelParams(c0=1.0, ch=1e5)
+    fields = ic_gaussian(g, "ap", locations=SIMM_LOCATIONS)
+    state = StaggeredState(g, params, fields["B"], fields["psi"],
+                           fields["E"], fields["phi"])
+    applies = {"phi": 0, "E": 0}
+    for name in applies:
+        original = getattr(simm, "apply_%s_operator" % name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            applies[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(simm, "apply_%s_operator" % name, counted)
+    new = simm_step(state, 1e-2)
+    ref_applies = {"phi": 0, "E": 0}
+    expected = ref.step(state, 1e-2, ref_applies)
+    for got, want in zip((new.B_c, new.psi_c, new.E_p, new.phi_p), expected):
+        assert ref.same_bits(got, want)
+    assert applies == ref_applies
 
 
 def test_cg_config_validation():
