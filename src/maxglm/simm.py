@@ -18,6 +18,8 @@ conserves the staggered total energy identically, for any dt.
 The solves dominate the cost: each implicit operator chains the padded
 stencils of `mimetic` over a per-step workspace of six reused buffers, and CG
 updates its vectors in place, both bitwise equal to the plain compositions.
+CG's inner products are single-threaded reductions (`_dot`), so a run uses
+one core and its output bits do not depend on the machine's thread count.
 """
 
 import math
@@ -74,7 +76,12 @@ class NonConvergence(RuntimeError):
 
 
 def _dot(a, b):
-    return float(np.vdot(a, b))
+    """Euclidean inner product of two equally shaped real arrays.
+
+    A single-threaded einsum contraction, not BLAS: its summation order, and
+    so its bits, do not depend on the number of threads BLAS may use.
+    """
+    return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
 def cg_solve(apply_op, rhs, cfg=None):
