@@ -18,7 +18,7 @@ experiment configurations.
 from .diagnostics import (DiagnosticsSeries, collocated_divergence,
                           convergence_order, staggered_divergences,
                           total_energy_collocated)
-from .grid import Grid2D, l2_norm, read_snapshot, write_snapshot
+from .grid import Grid2D, l2_norm
 from .harness import (RunConfig, check, ic_gaussian, ic_planar, simulate,
                       study_ap, study_convergence)
 from .htc import FVState, abgrall_flux, cfl_dt, rk_step, semidiscrete_rhs
@@ -26,7 +26,7 @@ from .mimetic import (check_identities, curl_c2v, curl_v2c, div_c2v, div_v2c,
                       grad_c2v, grad_v2c)
 from .model import (EnergyModel, ModelParams, SystemMatrices,
                     assemble_matrices, energy_density, energy_flux,
-                    main_field, max_signal_speed, physical_flux)
+                    main_field, physical_flux)
 from .simm import (CGConfig, NonConvergence, StaggeredState, apply_E_operator,
                    apply_phi_operator, cg_solve, simm_step,
                    total_energy_staggered)
@@ -42,8 +42,8 @@ __all__ = [
     "check_identities", "collocated_divergence", "convergence_order",
     "curl_c2v", "curl_v2c", "div_c2v", "div_v2c", "energy_density",
     "energy_flux", "get_tableau", "grad_c2v", "grad_v2c", "ic_gaussian",
-    "ic_planar", "l2_norm", "main_field", "max_signal_speed", "physical_flux",
-    "read_snapshot", "rk_step", "semidiscrete_rhs", "simm_step", "simulate",
-    "staggered_divergences", "study_ap", "study_convergence",
-    "total_energy_collocated", "total_energy_staggered", "write_snapshot",
+    "ic_planar", "l2_norm", "main_field", "physical_flux", "rk_step",
+    "semidiscrete_rhs", "simm_step", "simulate", "staggered_divergences",
+    "study_ap", "study_convergence", "total_energy_collocated",
+    "total_energy_staggered",
 ]

@@ -9,14 +9,11 @@ from .htc import _central_difference
 from .mimetic import div_c2v, div_v2c
 from .model import energy_density
 
-_FMT = "%.17g"  # full double precision in all CSV output
-
 
 class DiagnosticsSeries:
     """Per-step rows of (t, energy, relative energy error, divB, divE)."""
 
-    def __init__(self, meta=None):
-        self.meta = dict(meta or {})
+    def __init__(self):
         self.t = []
         self.energy = []
         self.rel_energy_err = []
@@ -45,20 +42,29 @@ class DiagnosticsSeries:
         return float(np.max(np.abs(self.rel_energy_err)))  # NaN if any row is NaN
 
     def write_energy_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,energy,rel_energy_err\n")
-            for t, e, r in zip(self.t, self.energy, self.rel_energy_err):
-                fh.write(",".join(_FMT % v for v in (t, e, r)) + "\n")
+        write_csv(path, ("t", "energy", "rel_energy_err"),
+                  map(full_precision, zip(self.t, self.energy, self.rel_energy_err)))
 
     def write_divergence_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,div_B,div_E\n")
-            for t, b, e in zip(self.t, self.div_B, self.div_E):
-                fh.write(",".join(_FMT % v for v in (t, b, e)) + "\n")
+        write_csv(path, ("t", "div_B", "div_E"),
+                  map(full_precision, zip(self.t, self.div_B, self.div_E)))
+
+
+def full_precision(values):
+    """CSV cells that round-trip each double exactly."""
+    return ["%.17g" % v for v in values]
+
+
+def write_csv(path, columns, rows):
+    """A header line of column names, then one line of string cells per row."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(columns) + "\n")
+        for cells in rows:
+            fh.write(",".join(cells) + "\n")
 
 
 def config_hash(mapping):
-    """Stable short hash of a config mapping, for series metadata."""
+    """Stable short hash of a config mapping."""
     text = ";".join("%s=%r" % (k, mapping[k]) for k in sorted(mapping))
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
@@ -119,23 +125,22 @@ def write_errors_csv(path, component_names, rows):
     rows -- list of (N, {component: error}); orders between consecutive
     resolutions are appended per component (empty for the first row).
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        head = ["N"] + list(component_names)
-        head += ["order_" + c for c in component_names]
-        fh.write(",".join(head) + "\n")
-        prev = None
-        for N, errs in rows:
-            cells = [str(N)] + [_FMT % errs[c] for c in component_names]
-            if prev is None:
-                cells += [""] * len(component_names)
-            else:
-                pN, perrs = prev
-                for c in component_names:
-                    if perrs[c] > 0.0 and errs[c] > 0.0:
-                        order = convergence_order([(pN, perrs[c]), (N, errs[c])])[0]
-                        cells.append("%.3f" % order)
-                    else:
-                        # roundoff-level component (e.g. identically zero field)
-                        cells.append("")
-            fh.write(",".join(cells) + "\n")
-            prev = (N, errs)
+    table = []
+    prev = None
+    for N, errs in rows:
+        cells = [str(N)] + full_precision(errs[c] for c in component_names)
+        if prev is None:
+            cells += [""] * len(component_names)
+        else:
+            pN, perrs = prev
+            for c in component_names:
+                if perrs[c] > 0.0 and errs[c] > 0.0:
+                    order = convergence_order([(pN, perrs[c]), (N, errs[c])])[0]
+                    cells.append("%.3f" % order)
+                else:
+                    # roundoff-level component (e.g. identically zero field)
+                    cells.append("")
+        table.append(cells)
+        prev = (N, errs)
+    write_csv(path, ["N"] + list(component_names) + ["order_" + c for c in component_names],
+              table)

@@ -1,4 +1,4 @@
-"""Periodic uniform 2D Cartesian mesh, the L2 norm and snapshot files.
+"""Periodic uniform 2D Cartesian mesh and the L2 norm.
 
 Index conventions (shared by every stencil in the code base):
 
@@ -65,47 +65,3 @@ def l2_norm(grid, u):
     """Volume-weighted L2 norm sqrt(sum dx*dy*u^2); vector fields sum components."""
     return math.sqrt(grid.cell_volume * float(np.sum(u * u)))
 
-
-# ---------------------------------------------------------------------------
-# Snapshot files: text header, then comma separated values, one x-row per line.
-
-def write_snapshot(path, grid, values, location, time):
-    values = np.asarray(values, dtype=float)
-    comps = 1 if values.ndim == 2 else 3
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# nx = %d\n# ny = %d\n" % (grid.nx, grid.ny))
-        fh.write("# x_min = %.17g\n# x_max = %.17g\n" % (grid.x_min, grid.x_max))
-        fh.write("# y_min = %.17g\n# y_max = %.17g\n" % (grid.y_min, grid.y_max))
-        fh.write("# location = %s\n# components = %d\n" % (location, comps))
-        fh.write("# time = %.17g\n" % (time,))
-        flat = values.reshape(grid.nx, -1)  # row-major: one line per x-index
-        for row in flat:
-            fh.write(",".join("%.17g" % v for v in row))
-            fh.write("\n")
-
-
-def read_snapshot(path):
-    """Inverse of write_snapshot; returns (grid, values, location, time)."""
-    header = {}
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, val = line[1:].partition("=")
-                header[key.strip()] = val.strip()
-            else:
-                rows.append([float(tok) for tok in line.split(",")])
-    grid = Grid2D(
-        int(header["nx"]), int(header["ny"]),
-        float(header["x_min"]), float(header["x_max"]),
-        float(header["y_min"]), float(header["y_max"]))
-    comps = int(header["components"])
-    values = np.array(rows)
-    if comps == 3:
-        values = values.reshape(grid.nx, grid.ny, 3)
-    else:
-        values = values.reshape(grid.nx, grid.ny)
-    return grid, values, header["location"], float(header["time"])

@@ -6,7 +6,8 @@ loop, the convergence / cleaning-speed studies and the property check suites
 exposed by the CLI.  `simulate` is one loop for both schemes: `_setup` gives
 it the scheme's initial state and its step, energy and divergence functions,
 and `_state_fields` the {B, phi, E, psi} view that snapshots and the
-convergence study's errors read.
+convergence study's errors read.  Every `snapshot_every` steps a run writes
+`snap_<step>.npz` (see `write_snapshot`).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import diagnostics, htc, mimetic, simm
-from .grid import Grid2D, l2_norm, write_snapshot
+from .grid import Grid2D, l2_norm
 from .model import (EnergyModel, ModelParams, assemble_matrices, energy_flux,
                     main_field, physical_flux)
 from .tableaux import TABLEAUX, get_tableau
@@ -84,9 +85,6 @@ class RunConfig:
         ModelParams(self.c0, self.ch)  # finite, positive wave speeds
         if self.snapshot_every < 0 or self.cg_maxiter < 0:
             raise ValueError("counts must be nonnegative")
-
-    def as_dict(self):
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 _OPTIONAL_FLOATS = ("cfl", "dt")
@@ -215,10 +213,15 @@ def resolve_output_dir(output_dir):
     return path
 
 
-def _write_state_snapshots(outdir, step, grid, fields_dict, locations, t):
-    for name, arr in fields_dict.items():
-        path = os.path.join(outdir, "snap_%06d_%s.txt" % (step, name))
-        write_snapshot(path, grid, arr, locations[name], t)
+def write_snapshot(path, grid, fields_dict, locations, t):
+    """Write the fields, t, the domain bounds and each field's location to `path`.
+
+    One uncompressed .npz of plain arrays: the fields under their names, `t`,
+    `bounds` = (x_min, x_max, y_min, y_max), and `<name>_location` = 'cells'
+    or 'vertices'.  `path` must end in .npz, or numpy appends the suffix.
+    """
+    np.savez(path, t=t, bounds=np.array([grid.x_min, grid.x_max, grid.y_min, grid.y_max]),
+             **fields_dict, **{name + "_location": locations[name] for name in fields_dict})
 
 
 def _state_fields(state):
@@ -264,9 +267,7 @@ def simulate(config):
         raise ValueError("time step %.3g is too small to advance t to t_end=%g "
                          "(the loop resolves steps above %.3g)" % (dt0, config.t_end, eps))
     outdir = resolve_output_dir(config.output_dir)
-    meta = config.as_dict()
-    meta["config_hash"] = diagnostics.config_hash(meta)
-    series = diagnostics.DiagnosticsSeries(meta)
+    series = diagnostics.DiagnosticsSeries()
     locations = HTC_LOCATIONS if config.scheme == "htc" else SIMM_LOCATIONS
     state, advance, energy, divergences = _setup(config, grid, params)
 
@@ -282,8 +283,8 @@ def simulate(config):
                                    "the state is no longer finite" % (step, state.t, dt, e))
             series.append(state.t, e, *divs)
             if outdir and config.snapshot_every and step % config.snapshot_every == 0:
-                _write_state_snapshots(outdir, step, grid, _state_fields(state), locations,
-                                       state.t)
+                write_snapshot(os.path.join(outdir, "snap_%06d.npz" % step), grid,
+                               _state_fields(state), locations, state.t)
             if config.t_end - state.t <= eps:
                 break
             dt = min(dt0, config.t_end - state.t)
@@ -465,14 +466,12 @@ def study_ap(ch_values, output_dir=None):
         orders.append((math.log(b0 / b1) / ratio, math.log(e0 / e1) / ratio))
     outdir = resolve_output_dir(output_dir)
     if outdir:
-        with open(os.path.join(outdir, "ap.csv"), "w", encoding="utf-8") as fh:
-            fh.write("ch,eps,div_B,div_E,order_B,order_E\n")
-            for i, (ch, div_b, div_e) in enumerate(rows):
-                cells = ["%.17g" % ch, "%.17g" % (1.0 / ch),
-                         "%.17g" % div_b, "%.17g" % div_e]
-                cells += ["", ""] if i == 0 else ["%.3f" % orders[i - 1][0],
-                                                  "%.3f" % orders[i - 1][1]]
-                fh.write(",".join(cells) + "\n")
+        diagnostics.write_csv(
+            os.path.join(outdir, "ap.csv"),
+            ("ch", "eps", "div_B", "div_E", "order_B", "order_E"),
+            (diagnostics.full_precision((ch, 1.0 / ch, div_b, div_e))
+             + (["", ""] if i == 0 else ["%.3f" % o for o in orders[i - 1]])
+             for i, (ch, div_b, div_e) in enumerate(rows)))
         _write_summary(outdir, summarize_ap(rows, orders))
     return rows, orders
 

@@ -94,10 +94,6 @@ def assemble_matrices(params):
     return SystemMatrices(H1, H2, H3, R, Lambda)
 
 
-def max_signal_speed(params):
-    return max(params.c0, params.ch)
-
-
 class EnergyModel:
     """An energy potential variant ('quadratic' or 'exponential') plus speeds.
 

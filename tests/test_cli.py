@@ -24,7 +24,7 @@ def test_run_with_config_and_overrides(tmp_path, capsys):
     assert "scheme=htc" in captured.out
     assert "max |relative drift|" in captured.out
     assert (out / "energy.csv").exists()
-    assert (out / "snap_000000_B.txt").exists()
+    assert (out / "snap_000000.npz").exists()
 
 
 def test_run_without_config_uses_defaults(capsys):

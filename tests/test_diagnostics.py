@@ -132,7 +132,7 @@ def test_convergence_order_rejects_bad_input():
 # --- series and CSV ---------------------------------------------------------
 
 def test_series_relative_error_and_monotone_time():
-    s = DiagnosticsSeries({"run": "demo"})
+    s = DiagnosticsSeries()
     s.append(0.0, 2.0)
     s.append(0.5, 2.0 + 2e-12, div_B=1e-15)
     assert s.rel_energy_err[0] == 0.0

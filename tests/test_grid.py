@@ -1,11 +1,13 @@
-"""Grid, norms and snapshot round trips."""
+"""Grid, norms and snapshot files."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
-from maxglm.grid import Grid2D, l2_norm, read_snapshot, write_snapshot
+from maxglm import harness
+from maxglm.grid import Grid2D, l2_norm
 
 
 def test_cell_centers_are_midpoints():
@@ -63,25 +65,34 @@ def test_l2_norm_accepts_fields_and_vectors():
     assert l2_norm(g, vals) == pytest.approx(math.sqrt(3.0) * l2_norm(g, vals[..., 0]))
 
 
-def test_snapshot_round_trip_scalar(tmp_path):
-    g = Grid2D(6, 4, 0.0, 3.0, -1.0, 1.0)
-    rng = np.random.default_rng(8)
-    u = rng.standard_normal((6, 4))
-    path = tmp_path / "snap.txt"
-    write_snapshot(path, g, u, "cells", 1.25)
-    g2, u2, loc, t = read_snapshot(path)
-    assert (g2.nx, g2.ny) == (6, 4)
-    assert (g2.x_min, g2.x_max, g2.y_min, g2.y_max) == (0.0, 3.0, -1.0, 1.0)
-    assert loc == "cells" and t == 1.25
-    assert np.array_equal(u, u2)  # 17 significant digits round-trip exactly
+@pytest.mark.parametrize("scheme", ["htc", "simm"])
+def test_snapshot_holds_the_state_bitwise(tmp_path, monkeypatch, scheme):
+    written = []
+    original = harness.write_snapshot
 
+    def recording(path, *args):
+        original(path, *args)
+        written.append((path, os.path.getsize(path)))  # the exact path, no suffix added
 
-def test_snapshot_round_trip_vector(tmp_path):
-    g = Grid2D(5, 3)
-    rng = np.random.default_rng(9)
-    u = rng.standard_normal((5, 3, 3))
-    path = tmp_path / "snap_vec.txt"
-    write_snapshot(path, g, u, "vertices", 0.0)
-    _, u2, loc, _ = read_snapshot(path)
-    assert loc == "vertices"
-    assert np.array_equal(u, u2)
+    monkeypatch.setattr(harness, "write_snapshot", recording)
+    cfg = harness.RunConfig(scheme=scheme, nx=12, ny=8, x_max=2.0, ic="gauss_t2", rk="rk4",
+                            cfl=None, dt=0.05, t_end=0.1, snapshot_every=2,
+                            output_dir=str(tmp_path))
+    _, final = harness.simulate(cfg)
+    assert [os.path.basename(p) for p, _ in written] == ["snap_000000.npz", "snap_000002.npz"]
+    assert all(size > 0 for _, size in written)
+
+    fields = harness._state_fields(final)
+    if scheme == "htc":
+        assert not fields["B"].flags.c_contiguous  # views into the packed state
+    locations = harness.HTC_LOCATIONS if scheme == "htc" else harness.SIMM_LOCATIONS
+    with np.load(written[-1][0]) as snap:
+        assert sorted(snap.files) == sorted(
+            ["t", "bounds"] + list(fields) + [name + "_location" for name in fields])
+        for name, value in fields.items():
+            saved = snap[name]
+            assert saved.dtype == value.dtype and saved.shape == value.shape
+            assert saved.tobytes() == value.tobytes()
+            assert snap[name + "_location"] == locations[name]
+        assert snap["t"] == final.t
+        assert snap["bounds"].tolist() == [-1.0, 2.0, -1.0, 1.0]

@@ -20,6 +20,7 @@ from maxglm.harness import (
     parse_config_file,
     resolve_output_dir,
     simulate,
+    study_ap,
     study_convergence,
     summarize_ap,
     summarize_convergence,
@@ -180,8 +181,7 @@ def test_simulate_writes_outputs_and_snapshots(tmp_path):
     simulate(cfg)
     assert (out / "energy.csv").read_text().startswith("t,energy,rel_energy_err")
     assert (out / "divergence.csv").exists()
-    for name in ("B", "E", "phi", "psi"):
-        assert (out / ("snap_000000_%s.txt" % name)).exists()
+    assert (out / "snap_000000.npz").exists()
 
 
 def test_simulate_surfaces_cg_failure_as_runtime_error():
@@ -212,6 +212,20 @@ def test_study_convergence_small(tmp_path):
     assert 1.5 < orders["B1"][0] < 2.5
     assert (tmp_path / "conv" / "errors.csv").exists()
     assert (tmp_path / "conv" / "summary.txt").exists()
+
+
+def test_study_ap_csv_format(tmp_path):
+    rows, orders = study_ap([10.0, 20.0], output_dir=str(tmp_path / "ap"))
+    lines = (tmp_path / "ap" / "ap.csv").read_text().splitlines()
+    assert lines[0] == "ch,eps,div_B,div_E,order_B,order_E"
+    assert len(lines) == 3
+    # full-precision values, and no orders on the first row
+    _, div_b, div_e = rows[0]
+    assert lines[1] == "10,0.10000000000000001,%.17g,%.17g,," % (div_b, div_e)
+    assert float(lines[1].split(",")[2]) == div_b
+    order_b = lines[2].split(",")[4]
+    assert order_b == "%.3f" % orders[0][0]
+    assert len(order_b.split(".")[1]) == 3
 
 
 def test_summarize_convergence_pass_fail_skip():

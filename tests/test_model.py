@@ -10,7 +10,7 @@ import pytest
 
 from maxglm.model import (EnergyModel, ModelParams, assemble_matrices,
                           energy_density, energy_flux, main_field,
-                          max_signal_speed, physical_flux)
+                          physical_flux)
 
 
 def state_vector(B=(0.0, 0.0, 0.0), phi=0.0, E=(0.0, 0.0, 0.0), psi=0.0):
@@ -250,12 +250,6 @@ def test_eigenvalues_cross_checked_against_eigvalsh():
     # H2 and H3 share the spectrum
     assert np.allclose(np.linalg.eigvalsh(m.H2), np.sort(m.Lambda), atol=1e-12)
     assert np.allclose(np.linalg.eigvalsh(m.H3), np.sort(m.Lambda), atol=1e-12)
-
-
-def test_max_signal_speed():
-    assert max_signal_speed(ModelParams(1, 1)) == 1.0
-    assert max_signal_speed(ModelParams(1, 10)) == 10.0
-    assert max_signal_speed(ModelParams(2, 5)) == 5.0
 
 
 def test_params_reject_nonpositive_speeds():
