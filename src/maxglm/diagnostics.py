@@ -7,7 +7,7 @@ import numpy as np
 from .grid import l2_norm
 from .htc import _central_difference
 from .mimetic import div_c2v, div_v2c
-from .model import energy_density
+from .model import FIELDS, energy_density
 
 
 class DiagnosticsSeries:
@@ -69,8 +69,12 @@ def config_hash(mapping):
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def total_energy_collocated(state):
-    """Volume-weighted total energy of a collocated state."""
+def total_energy(state):
+    """Volume-weighted total energy, cell_volume * sum of energy_density(q).
+
+    One formula for both schemes: every cell and every vertex carries the
+    same weight dx*dy on the periodic grid.
+    """
     return state.grid.cell_volume * float(
         np.sum(energy_density(state.q, state.model)))
 
@@ -81,12 +85,9 @@ def collocated_divergence(state, field="B"):
     Informational only -- the collocated scheme makes no divergence claim.
     """
     g = state.grid
-    if field == "B":
-        u = state.q[..., 0:3]
-    elif field == "E":
-        u = state.q[..., 4:7]
-    else:
+    if field not in ("B", "E"):
         raise ValueError("field must be 'B' or 'E'")
+    u = state.q[..., FIELDS[field]]
     return l2_norm(g, _central_difference(u[..., 0], 0, g.dx)
                    + _central_difference(u[..., 1], 1, g.dy))
 
@@ -99,9 +100,9 @@ def staggered_divergences(state, state_next):
     actually controls.
     """
     g = state.grid
-    B_half = 0.5 * (state.B_c + state_next.B_c)
-    E_half = 0.5 * (state.E_p + state_next.E_p)
-    return l2_norm(g, div_c2v(g, B_half)), l2_norm(g, div_v2c(g, E_half))
+    half = 0.5 * (state.q + state_next.q)
+    return (l2_norm(g, div_c2v(g, half[..., FIELDS["B"]])),
+            l2_norm(g, div_v2c(g, half[..., FIELDS["E"]])))
 
 
 def convergence_order(errors):

@@ -3,11 +3,11 @@
 The harness owns everything around the two solvers: parsing `key = value`
 config files, sampling initial data at the right mesh locations, the time
 loop, the convergence / cleaning-speed studies and the property check suites
-exposed by the CLI.  `simulate` is one loop for both schemes: `_setup` gives
-it the scheme's initial state and its step, energy and divergence functions,
-and `_state_fields` the {B, phi, E, psi} view that snapshots and the
-convergence study's errors read.  Every `snapshot_every` steps a run writes
-`snap_<step>.npz` (see `write_snapshot`).
+exposed by the CLI.  `simulate` is one loop for both schemes: both hold a
+`model.State`, whose fields are sampled at the scheme's locations
+(`HTC_LOCATIONS` / `SIMM_LOCATIONS`), and `_setup` gives the loop the
+scheme's step and divergence functions.  Every `snapshot_every` steps a run
+writes `snap_<step>.npz` (see `write_snapshot`).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from . import diagnostics, htc, mimetic, simm
 from .grid import Grid2D, l2_norm
-from .model import (EnergyModel, ModelParams, assemble_matrices, energy_flux,
-                    main_field, physical_flux)
+from .model import (FIELDS, EnergyModel, ModelParams, State, assemble_matrices,
+                    energy_flux, main_field, physical_flux)
 from .tableaux import TABLEAUX, get_tableau
 
 OUTPUT_ROOT_ENV = "MAXGLM_OUTPUT_ROOT"
@@ -154,26 +154,22 @@ GAUSSIAN_AMPLITUDES = {
 
 
 def _sampled(grid, locations, profile, amplitudes):
-    out = {}
-    for name in ("B", "E"):
-        X, Y = grid.points(locations[name])
-        s = profile(X, Y)
-        amp = amplitudes[name]
-        out[name] = np.stack([a * s for a in amp], axis=-1)
-    for name in ("phi", "psi"):
-        X, Y = grid.points(locations[name])
-        out[name] = amplitudes[name] * profile(X, Y)
-    return out
+    """(nx, ny, 8) state q: each field's amplitudes times profile at its points."""
+    q = np.empty((grid.nx, grid.ny, 8))
+    for name, slots in FIELDS.items():
+        q[..., slots] = np.multiply.outer(profile(*grid.points(locations[name])),
+                                          amplitudes[name])
+    return q
 
 
 def ic_planar(grid, locations=HTC_LOCATIONS):
-    """Sinusoidal plane wave sin(pi(x-y)); returns {B, phi, E, psi} arrays."""
+    """Sinusoidal plane wave sin(pi(x-y)), as an (nx, ny, 8) state array."""
     amplitudes = {"B": PLANAR_B0, "E": PLANAR_E0, "phi": 0.25, "psi": 0.5}
     return _sampled(grid, locations, lambda X, Y: np.sin(np.pi * (X - Y)), amplitudes)
 
 
 def ic_gaussian(grid, variant, sigma=0.2, locations=HTC_LOCATIONS):
-    """Gaussian bump exp(-(x^2+y^2)/(2 sigma^2)) scaled per variant t1|t2|ap."""
+    """Gaussian bump exp(-(x^2+y^2)/(2 sigma^2)) scaled per variant t1|t2|ap, as q."""
     try:
         amplitudes = GAUSSIAN_AMPLITUDES[variant]
     except KeyError:
@@ -188,16 +184,6 @@ def initial_fields(config, grid):
     if config.ic == "planar":
         return ic_planar(grid, locations)
     return ic_gaussian(grid, config.ic.removeprefix("gauss_"), config.sigma, locations)
-
-
-def pack_state(fields_dict):
-    """(B, phi, E, psi) arrays -> one (nx, ny, 8) collocated state array."""
-    return np.concatenate([
-        fields_dict["B"],
-        fields_dict["phi"][..., None],
-        fields_dict["E"],
-        fields_dict["psi"][..., None],
-    ], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,33 +211,25 @@ def write_snapshot(path, grid, fields_dict, locations, t):
 
 
 def _state_fields(state):
-    """The {B, phi, E, psi} arrays of either scheme's state, as views."""
-    if isinstance(state, htc.FVState):
-        q = state.q
-        return {"B": q[..., 0:3], "phi": q[..., 3], "E": q[..., 4:7], "psi": q[..., 7]}
-    return {"B": state.B_c, "phi": state.phi_p, "E": state.E_p, "psi": state.psi_c}
+    """The {B, phi, E, psi} fields of a state, as views of q."""
+    return {name: state.q[..., slots] for name, slots in FIELDS.items()}
 
 
 def _setup(config, grid, params):
-    """Initial state plus step(state, dt), energy(state), divergences(prev, state).
+    """Initial state plus the scheme's step(state, dt) and divergences(prev, state).
 
     Solvers and diagnostics are looked up on their modules at call time.
     """
-    fields0 = initial_fields(config, grid)
+    state = State(grid, EnergyModel(config.energy, params), initial_fields(config, grid))
     if config.scheme == "htc":
         tab = get_tableau(config.rk)
-        state = htc.FVState(grid, EnergyModel(config.energy, params), pack_state(fields0))
         return (state,
                 lambda s, dt: htc.rk_step(s, dt, tab),
-                lambda s: diagnostics.total_energy_collocated(s),
                 lambda prev, s: (diagnostics.collocated_divergence(s, "B"),
                                  diagnostics.collocated_divergence(s, "E")))
     cg_cfg = simm.CGConfig(config.cg_tol, config.cg_maxiter)
-    state = simm.StaggeredState(grid, params, fields0["B"], fields0["psi"],
-                                fields0["E"], fields0["phi"])
     return (state,
             lambda s, dt: simm.simm_step(s, dt, cg_cfg),
-            lambda s: simm.total_energy_staggered(s),
             lambda prev, s: diagnostics.staggered_divergences(prev, s))
 
 
@@ -269,7 +247,7 @@ def simulate(config):
     outdir = resolve_output_dir(config.output_dir)
     series = diagnostics.DiagnosticsSeries()
     locations = HTC_LOCATIONS if config.scheme == "htc" else SIMM_LOCATIONS
-    state, advance, energy, divergences = _setup(config, grid, params)
+    state, advance, divergences = _setup(config, grid, params)
 
     dt = dt0
     divs = divergences(state, state)  # 0.5 (u + u) == u: the initial divergences
@@ -277,7 +255,7 @@ def simulate(config):
     # as numpy overflow warnings on the way there
     with np.errstate(over="ignore", invalid="ignore"):
         for step in itertools.count():
-            e = energy(state)
+            e = diagnostics.total_energy(state)
             if not math.isfinite(e):
                 raise RuntimeError("run aborted in step %d (t=%.6g, dt=%.6g): energy is %r, "
                                    "the state is no longer finite" % (step, state.t, dt, e))
@@ -407,7 +385,7 @@ def _write_summary(outdir, lines):
 
 def _final_errors(config, final):
     """Per-component L2 errors of the final state against the initial data."""
-    dq = pack_state(_state_fields(final)) - pack_state(initial_fields(config, final.grid))
+    dq = final.q - initial_fields(config, final.grid)
     return {name: l2_norm(final.grid, dq[..., i]) for i, name in enumerate(COMPONENT_NAMES)}
 
 
@@ -596,8 +574,7 @@ def _check_flux(report):
         worst = 0.0
         for _ in range(100):
             q = rng.normal(0.0, 0.5, size=(g.nx, g.ny, 8))
-            state = htc.FVState(g, model, q, 0.0)
-            rhs = htc.semidiscrete_rhs(state)
+            rhs = htc.semidiscrete_rhs(State(g, model, q))
             p = main_field(q, model)
             production = g.cell_volume * float(np.sum(p * rhs))
             worst = max(worst, abs(production))

@@ -25,28 +25,12 @@ integration is plain explicit Runge-Kutta (see tableaux).
 
 import numpy as np
 
-from .model import main_field
+from .model import State, main_field
 
 # Below this squared jump in the main field the correction is switched off;
 # its numerator vanishes at the same quadratic rate, so a pure central flux
 # keeps both consistency and compatibility.
 ALPHA_GUARD = 1e-28
-
-
-class FVState:
-    """Full collocated solution: (nx, ny, 8) state array plus time."""
-
-    def __init__(self, grid, model, q, t=0.0):
-        q = np.asarray(q, dtype=float)
-        if q.shape != (grid.nx, grid.ny, 8):
-            raise ValueError("state shape %r does not fit grid" % (q.shape,))
-        self.grid = grid
-        self.model = model
-        self.q = q
-        self.t = float(t)
-
-    def copy_with(self, q, t):
-        return FVState(self.grid, self.model, q, t)
 
 
 def abgrall_flux(qL, qR, n, model):
@@ -115,13 +99,13 @@ def rk_step(state, dt, tab):
         for j in range(i):
             if a[i, j] != 0.0:
                 qi += np.multiply(dt * a[i, j], k[j], out=scratch)
-        k[i] = semidiscrete_rhs(state.copy_with(qi, t0 + c[i] * dt))
+        k[i] = semidiscrete_rhs(State(state.grid, state.model, qi, t0 + c[i] * dt))
     # accumulate into a copy: callers keep the input state and views of it
     qn = q0.copy()
     for i in range(tab.stages):
         if b[i] != 0.0:
             qn += np.multiply(dt * b[i], k[i], out=scratch)
-    return state.copy_with(qn, t0 + dt)
+    return State(state.grid, state.model, qn, t0 + dt)
 
 
 def cfl_dt(grid, params, cfl):

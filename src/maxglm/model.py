@@ -5,7 +5,10 @@ The conserved state is the 8-vector
     q = (B1, B2, B3, phi, E1, E2, E3, psi)
 
 where B is the magnetic field, E the rescaled electric field and phi/psi the
-two cleaning scalars that transport divergence errors at speed ch.  The system
+two cleaning scalars that transport divergence errors at speed ch.  Both
+schemes hold their solution as one `State`: an (nx, ny, 8) array in this slot
+order, whatever mesh points (cells or vertices) each field is sampled at.
+The system
 
     dq/dt + d/dx_k f_k(q) = 0,      f_k(q) = H_k p(q),      p = dE/dq
 
@@ -25,6 +28,8 @@ import numpy as np
 
 # Slot indices of the components inside the state vector.
 B1, B2, B3, PHI, E1, E2, E3, PSI = range(8)
+# The four fields as indices into the last axis of q.
+FIELDS = {"B": slice(B1, PHI), "phi": PHI, "E": slice(E1, PSI), "psi": PSI}
 
 QUADRATIC = "quadratic"
 EXPONENTIAL = "exponential"
@@ -120,6 +125,19 @@ class EnergyModel:
 
     def __repr__(self):
         return "EnergyModel(%r, %r)" % (self.kind, self.params)
+
+
+class State:
+    """A solution on a grid: the (nx, ny, 8) state array q at time t."""
+
+    def __init__(self, grid, model, q, t=0.0):
+        q = np.asarray(q, dtype=float)
+        if q.shape != (grid.nx, grid.ny, 8):
+            raise ValueError("state shape %r does not fit the grid" % (q.shape,))
+        self.grid = grid
+        self.model = model
+        self.q = q
+        self.t = float(t)
 
 
 def _squared_magnitudes(q):

@@ -28,23 +28,7 @@ import numpy as np
 
 from .mimetic import (curl_c2v, curl_v2c, diff, div_c2v, div_v2c, grad_c2v, grad_v2c,
                       interior, pad, wrap)
-
-
-class StaggeredState:
-    """Staggered solution: B, psi on cells; E, phi on vertices."""
-
-    def __init__(self, grid, params, B_c, psi_c, E_p, phi_p, t=0.0):
-        self.grid = grid
-        self.params = params
-        self.B_c = np.asarray(B_c, dtype=float)
-        self.psi_c = np.asarray(psi_c, dtype=float)
-        self.E_p = np.asarray(E_p, dtype=float)
-        self.phi_p = np.asarray(phi_p, dtype=float)
-        shp = (grid.nx, grid.ny)
-        if (self.B_c.shape != shp + (3,) or self.E_p.shape != shp + (3,)
-                or self.psi_c.shape != shp or self.phi_p.shape != shp):
-            raise ValueError("field shapes do not fit the grid")
-        self.t = float(t)
+from .model import FIELDS, State
 
 
 class CGConfig:
@@ -205,41 +189,32 @@ def simm_step(state, dt, cfg=None):
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     g = state.grid
-    m = state.params
+    m = state.model.params
     c0, ch = m.c0, m.ch
     quarter = 0.25 * dt * dt
     work = workspace(g)
+    B, phi, E, psi = (state.q[..., FIELDS[name]] for name in ("B", "phi", "E", "psi"))
 
     # scalar wave solve for phi^{n+1} (B eliminated; div curl E drops out)
-    rhs_phi = (state.phi_p
-               - dt * ch * div_c2v(g, state.B_c)
-               + quarter * ch * ch * div_c2v(g, grad_v2c(g, state.phi_p)))
+    rhs_phi = (phi
+               - dt * ch * div_c2v(g, B)
+               + quarter * ch * ch * div_c2v(g, grad_v2c(g, phi)))
     phi_new = cg_solve(lambda u: apply_phi_operator(g, m, dt, u, work), rhs_phi, cfg)
 
     # vector wave solve for E^{n+1} (B, psi eliminated; curl grad phi drops out)
-    rhs_E = (state.E_p
-             + dt * c0 * curl_c2v(g, state.B_c)
-             - quarter * c0 * c0 * curl_c2v(g, curl_v2c(g, state.E_p))
-             - dt * ch * grad_c2v(g, state.psi_c)
-             + quarter * ch * ch * grad_c2v(g, div_v2c(g, state.E_p)))
+    rhs_E = (E
+             + dt * c0 * curl_c2v(g, B)
+             - quarter * c0 * c0 * curl_c2v(g, curl_v2c(g, E))
+             - dt * ch * grad_c2v(g, psi)
+             + quarter * ch * ch * grad_c2v(g, div_v2c(g, E)))
     E_new = cg_solve(lambda u: apply_E_operator(g, m, dt, u, work), rhs_E, cfg)
 
     # explicit updates from the half-time averages
-    phi_half = 0.5 * (state.phi_p + phi_new)
-    E_half = 0.5 * (state.E_p + E_new)
-    B_new = (state.B_c
-             - dt * c0 * curl_v2c(g, E_half)
-             - dt * ch * grad_v2c(g, phi_half))
-    psi_new = state.psi_c - dt * ch * div_v2c(g, E_half)
-
-    return StaggeredState(g, m, B_new, psi_new, E_new, phi_new, state.t + dt)
-
-
-def total_energy_staggered(state):
-    """sum |Omega_c| (B^2 + psi^2)/2 + sum |Omega_p| (E^2 + phi^2)/2."""
-    w = state.grid.cell_volume
-    return w * float(
-        0.5 * np.sum(state.B_c * state.B_c)
-        + 0.5 * np.sum(state.psi_c * state.psi_c)
-        + 0.5 * np.sum(state.E_p * state.E_p)
-        + 0.5 * np.sum(state.phi_p * state.phi_p))
+    phi_half = 0.5 * (phi + phi_new)
+    E_half = 0.5 * (E + E_new)
+    q = np.empty_like(state.q)
+    q[..., FIELDS["B"]] = B - dt * c0 * curl_v2c(g, E_half) - dt * ch * grad_v2c(g, phi_half)
+    q[..., FIELDS["phi"]] = phi_new
+    q[..., FIELDS["E"]] = E_new
+    q[..., FIELDS["psi"]] = psi - dt * ch * div_v2c(g, E_half)
+    return State(g, state.model, q, state.t + dt)

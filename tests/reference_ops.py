@@ -113,10 +113,13 @@ def cg(apply_op, b, tol=1e-12):
 def step(state, dt, applies):
     """The staggered step of `maxglm.simm.simm_step`, from the forms above.
 
-    Returns (B, psi, E, phi) and counts operator applications in `applies`.
+    Returns the new (B, phi, E, psi) and counts operator applications in
+    `applies`.
     """
-    g, m = state.grid, state.params
+    g, m = state.grid, state.model.params
     c0, ch = m.c0, m.ch
+    q = state.q
+    B, phi, E, psi = q[..., 0:3], q[..., 3], q[..., 4:7], q[..., 7]
     quarter = 0.25 * dt * dt
 
     def counted(name, op):
@@ -125,23 +128,23 @@ def step(state, dt, applies):
             return op(g, m, dt, u)
         return apply
 
-    rhs_phi = (state.phi_p
-               - dt * ch * OPS["div_c2v"](g, state.B_c)
-               + quarter * ch * ch * OPS["div_c2v"](g, OPS["grad_v2c"](g, state.phi_p)))
+    rhs_phi = (phi
+               - dt * ch * OPS["div_c2v"](g, B)
+               + quarter * ch * ch * OPS["div_c2v"](g, OPS["grad_v2c"](g, phi)))
     phi_new = cg(counted("phi", phi_operator), rhs_phi)
-    rhs_E = (state.E_p
-             + dt * c0 * OPS["curl_c2v"](g, state.B_c)
-             - quarter * c0 * c0 * OPS["curl_c2v"](g, OPS["curl_v2c"](g, state.E_p))
-             - dt * ch * OPS["grad_c2v"](g, state.psi_c)
-             + quarter * ch * ch * OPS["grad_c2v"](g, OPS["div_v2c"](g, state.E_p)))
+    rhs_E = (E
+             + dt * c0 * OPS["curl_c2v"](g, B)
+             - quarter * c0 * c0 * OPS["curl_c2v"](g, OPS["curl_v2c"](g, E))
+             - dt * ch * OPS["grad_c2v"](g, psi)
+             + quarter * ch * ch * OPS["grad_c2v"](g, OPS["div_v2c"](g, E)))
     E_new = cg(counted("E", E_operator), rhs_E)
-    phi_half = 0.5 * (state.phi_p + phi_new)
-    E_half = 0.5 * (state.E_p + E_new)
-    B_new = (state.B_c
+    phi_half = 0.5 * (phi + phi_new)
+    E_half = 0.5 * (E + E_new)
+    B_new = (B
              - dt * c0 * OPS["curl_v2c"](g, E_half)
              - dt * ch * OPS["grad_v2c"](g, phi_half))
-    psi_new = state.psi_c - dt * ch * OPS["div_v2c"](g, E_half)
-    return B_new, psi_new, E_new, phi_new
+    psi_new = psi - dt * ch * OPS["div_v2c"](g, E_half)
+    return B_new, phi_new, E_new, psi_new
 
 
 # grids for the bitwise checks: square, dx != dy, and the smallest shapes

@@ -12,13 +12,14 @@ import math
 import numpy as np
 
 from maxglm.grid import Grid2D
-from maxglm.harness import (RunConfig, initial_fields, pack_state, simulate, study_ap,
+from maxglm.harness import (RunConfig, initial_fields, simulate, study_ap,
                             study_convergence)
-from maxglm.htc import FVState, abgrall_flux, cfl_dt, rk_step, semidiscrete_rhs
+from maxglm.htc import abgrall_flux, cfl_dt, rk_step, semidiscrete_rhs
 from maxglm.mimetic import check_identities
 from maxglm.model import (
     EnergyModel,
     ModelParams,
+    State,
     assemble_matrices,
     energy_flux,
     main_field,
@@ -185,8 +186,7 @@ def test_collocated_exponential_excess_energy_drift():
     grid = Grid2D(config.nx, config.ny, config.x_min, config.x_max,
                   config.y_min, config.y_max)
     params = ModelParams(config.c0, config.ch)
-    state = FVState(grid, EnergyModel("exponential", params),
-                    pack_state(initial_fields(config, grid)))
+    state = State(grid, EnergyModel("exponential", params), initial_fields(config, grid))
     dt0 = cfl_dt(grid, params, config.cfl)
     excess0 = _exponential_excess_energy(state)
     drift = 0.0
@@ -247,7 +247,7 @@ def test_semidiscrete_energy_production_is_zero():
         model = EnergyModel(kind, ModelParams())
         for _ in range(100):
             q = rng.normal(0.0, scale, size=(g.nx, g.ny, 8))
-            rhs = semidiscrete_rhs(FVState(g, model, q))
+            rhs = semidiscrete_rhs(State(g, model, q))
             production = g.cell_volume * float(np.sum(main_field(q, model) * rhs))
             worst = max(worst, abs(production))
     _gate(worst <= 1e-12, "semi-discrete energy production (100 fields x 2)",

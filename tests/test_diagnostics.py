@@ -9,41 +9,39 @@ from maxglm.diagnostics import (
     config_hash,
     convergence_order,
     staggered_divergences,
-    total_energy_collocated,
+    total_energy,
     write_errors_csv,
 )
 from maxglm.grid import Grid2D
-from maxglm.harness import SIMM_LOCATIONS, ic_gaussian, ic_planar, pack_state
-from maxglm.htc import FVState
-from maxglm.model import EnergyModel, ModelParams, energy_density
-from maxglm.simm import StaggeredState
+from maxglm.harness import SIMM_LOCATIONS, ic_gaussian, ic_planar
+from maxglm.model import PHI, PSI, EnergyModel, ModelParams, State, energy_density
 
 
 def _state(grid, q, kind="quadratic"):
-    return FVState(grid, EnergyModel(kind, ModelParams()), q)
+    return State(grid, EnergyModel(kind, ModelParams()), q)
 
 
 # --- total energy -----------------------------------------------------------
 
 def test_total_energy_zero_state():
     g = Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)
-    assert total_energy_collocated(_state(g, np.zeros((8, 8, 8)))) == 0.0
+    assert total_energy(_state(g, np.zeros((8, 8, 8)))) == 0.0
 
 
 def test_total_energy_uniform_state():
     # density (1 + 2^2)/2 = 2.5 is constant, so the total is area 6 times it
     g = Grid2D(8, 12, -1.0, 1.0, 0.0, 3.0)
     q = np.tile(np.array([1.0, 0, 0, 0, 0, 2.0, 0, 0]), (8, 12, 1))
-    assert total_energy_collocated(_state(g, q)) == pytest.approx(15.0)
+    assert total_energy(_state(g, q)) == pytest.approx(15.0)
 
 
 def test_total_energy_matches_direct_quadrature():
     g = Grid2D(32, 32, -1.0, 1.0, -1.0, 1.0)
-    q = pack_state(ic_planar(g))
+    q = ic_planar(g)
     state = _state(g, q)
     direct = g.cell_volume * sum(
         energy_density(q[i, j], state.model) for i in range(g.nx) for j in range(g.ny))
-    assert total_energy_collocated(state) == pytest.approx(direct, rel=1e-13)
+    assert total_energy(state) == pytest.approx(direct, rel=1e-13)
 
 
 # --- divergences ------------------------------------------------------------
@@ -79,8 +77,7 @@ def test_collocated_divergence_rejects_unknown_field():
 def test_staggered_divergences_zero_for_out_of_plane_fields():
     # B and E purely in the third component have no in-plane divergence at all
     g = Grid2D(16, 16, -1.0, 1.0, -1.0, 1.0)
-    f = ic_gaussian(g, "t1", locations=SIMM_LOCATIONS)
-    s0 = StaggeredState(g, ModelParams(), f["B"], f["psi"], f["E"], f["phi"])
+    s0 = _state(g, ic_gaussian(g, "t1", locations=SIMM_LOCATIONS))
     div_B, div_E = staggered_divergences(s0, s0)
     assert div_B == 0.0
     assert div_E == 0.0
@@ -89,16 +86,10 @@ def test_staggered_divergences_zero_for_out_of_plane_fields():
 def test_staggered_divergences_half_time_average():
     g = Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)
     rng = np.random.default_rng(9)
-    shp = (8, 8)
-
-    def rand_state():
-        return StaggeredState(g, ModelParams(), rng.normal(size=shp + (3,)),
-                              rng.normal(size=shp), rng.normal(size=shp + (3,)),
-                              rng.normal(size=shp))
-
-    s0, s1 = rand_state(), rand_state()
-    mid = StaggeredState(g, ModelParams(), 0.5 * (s0.B_c + s1.B_c),
-                         np.zeros(shp), 0.5 * (s0.E_p + s1.E_p), np.zeros(shp))
+    s0, s1 = (_state(g, rng.normal(size=(8, 8, 8))) for _ in range(2))
+    q_mid = 0.5 * (s0.q + s1.q)
+    q_mid[..., [PHI, PSI]] = 0.0  # the scalars do not enter either divergence
+    mid = _state(g, q_mid)
     assert staggered_divergences(s0, s1) == pytest.approx(
         staggered_divergences(mid, mid))
 

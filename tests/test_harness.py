@@ -26,6 +26,12 @@ from maxglm.harness import (
     summarize_convergence,
 )
 from maxglm.grid import Grid2D
+from maxglm.model import FIELDS
+
+
+def _fields(q):
+    """The named fields of a state array, as views."""
+    return {name: q[..., slots] for name, slots in FIELDS.items()}
 
 
 # --- config files and overrides ---------------------------------------------
@@ -108,7 +114,7 @@ def test_config_validation_errors(kwargs, match):
 
 def test_planar_ic_spot_values():
     g = Grid2D(4, 4, -1.0, 1.0, -1.0, 1.0)
-    f = ic_planar(g, HTC_LOCATIONS)
+    f = _fields(ic_planar(g, HTC_LOCATIONS))
     # cell centers: -0.75, -0.25, 0.25, 0.75; on the diagonal the wave is zero
     assert f["B"][0, 0] == pytest.approx((0.0, 0.0, 0.0))
     # at (x, y) = (-0.25, -0.75) the profile sin(pi(x - y)) is exactly 1
@@ -120,7 +126,7 @@ def test_planar_ic_spot_values():
 
 def test_planar_ic_staggered_locations():
     g = Grid2D(4, 4, -1.0, 1.0, -1.0, 1.0)
-    f = ic_planar(g, SIMM_LOCATIONS)
+    f = _fields(ic_planar(g, SIMM_LOCATIONS))
     # vertices: -1, -0.5, 0, 0.5; (x, y) = (-0.5, -1) gives profile 1
     assert f["phi"][1, 0] == pytest.approx(0.25, rel=1e-15)
     assert f["E"][1, 0] == pytest.approx(PLANAR_E0, rel=1e-15)
@@ -130,12 +136,12 @@ def test_planar_ic_staggered_locations():
 
 def test_gaussian_ic_peak_amplitudes():
     g = Grid2D(5, 5, -1.0, 1.0, -1.0, 1.0)  # odd count puts a center at 0
-    t1 = ic_gaussian(g, "t1")
+    t1 = _fields(ic_gaussian(g, "t1"))
     assert t1["B"][2, 2] == pytest.approx((0.0, 0.0, 1e-2))
     assert t1["E"][2, 2] == pytest.approx((0.0, 0.0, 1e-2))
     assert not np.any(t1["phi"])
     assert not np.any(t1["psi"])
-    t2 = ic_gaussian(g, "t2")
+    t2 = _fields(ic_gaussian(g, "t2"))
     assert t2["B"][2, 2] == pytest.approx((0.25e-2, 0.0, 1e-2))
     assert t2["phi"][2, 2] == pytest.approx(0.5e-2)
 
@@ -147,7 +153,7 @@ def test_gaussian_ic_rejects_unknown_variant():
 
 def test_initial_fields_dispatch():
     cfg = RunConfig(scheme="simm", ic="gauss_t2", nx=8, ny=8)
-    f = initial_fields(cfg, Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0))
+    f = _fields(initial_fields(cfg, Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)))
     assert f["B"].shape == (8, 8, 3)
     assert f["phi"].shape == (8, 8)
 

@@ -7,12 +7,12 @@ import pytest
 
 from maxglm.diagnostics import collocated_divergence
 from maxglm.grid import Grid2D, l2_norm
-from maxglm.harness import ic_planar, pack_state
-from maxglm.htc import (FVState, _central_difference, abgrall_flux, cfl_dt, rk_step,
-                        semidiscrete_rhs)
+from maxglm.harness import ic_planar
+from maxglm.htc import _central_difference, abgrall_flux, cfl_dt, rk_step, semidiscrete_rhs
 from maxglm.model import (
     EnergyModel,
     ModelParams,
+    State,
     energy_density,
     energy_flux,
     main_field,
@@ -99,14 +99,14 @@ def _smooth_state(grid, model, seed=0):
     for s in range(8):
         ax, ay, bx, by = rng.normal(size=4)
         q[..., s] = ax * np.sin(2 * np.pi * X) + ay * np.cos(2 * np.pi * Y) + 0.1 * bx * by
-    return FVState(grid, model, q)
+    return State(grid, model, q)
 
 
 def test_rhs_uniform_state_is_zero():
     grid = Grid2D(12, 10, -1.0, 1.0, -1.0, 1.0)
     for model in _models():
         q = np.tile(np.arange(1.0, 9.0), (grid.nx, grid.ny, 1))
-        rhs = semidiscrete_rhs(FVState(grid, model, q))
+        rhs = semidiscrete_rhs(State(grid, model, q))
         assert np.array_equal(rhs, np.zeros_like(q))
 
 
@@ -128,7 +128,7 @@ def test_rhs_zero_energy_production(kind, scale):
     worst = 0.0
     for _ in range(20):
         q = rng.normal(scale=scale, size=(grid.nx, grid.ny, 8))
-        state = FVState(grid, model, q)
+        state = State(grid, model, q)
         rhs = semidiscrete_rhs(state)
         p = main_field(q, model)
         production = grid.cell_volume * np.sum(p * rhs)
@@ -151,7 +151,7 @@ def test_rhs_energy_production_is_roundoff_at_large_amplitude(amplitude):
     worst = 0.0
     for _ in range(20):
         q = rng.normal(scale=amplitude, size=(grid.nx, grid.ny, 8))
-        rhs = semidiscrete_rhs(FVState(grid, model, q))
+        rhs = semidiscrete_rhs(State(grid, model, q))
         p = main_field(q, model)
         worst = max(worst, abs(np.sum(p * rhs)) / np.sum(np.abs(p) * np.abs(rhs)))
     assert worst <= 1e-14, worst
@@ -172,7 +172,7 @@ def _gaussian_state(grid, model, amplitude):
     X, Y = grid.cell_centers()
     bump = np.exp(-((X - 0.1) ** 2 + (Y + 0.2) ** 2) / (2 * 0.2 ** 2))
     weights = np.array([0.3, -0.7, 1.0, 0.4, 0.9, -0.5, 0.8, -0.6])
-    return FVState(grid, model, amplitude * bump[..., None] * weights)
+    return State(grid, model, amplitude * bump[..., None] * weights)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "exponential"])
@@ -184,7 +184,7 @@ def test_rhs_matches_face_flux_form(kind, amplitude):
     model = EnergyModel(kind, ModelParams(c0=1.0, ch=1.7))
     states = [_gaussian_state(grid, model, amplitude)]
     rng = np.random.default_rng(31)
-    states.append(FVState(grid, model, rng.normal(scale=amplitude, size=(48, 40, 8))))
+    states.append(State(grid, model, rng.normal(scale=amplitude, size=(48, 40, 8))))
     for state in states:
         ref = _two_flux_rhs(state)
         rhs = semidiscrete_rhs(state)
@@ -211,9 +211,9 @@ def test_rhs_and_divergence_match_roll_difference(nx, ny, y_max, amplitude):
     noisy[..., 6] = 0.0 * noisy[..., 6]  # signed zeros in E3 must come through unchanged
     # on a square grid the plane wave's x and y differences cancel exactly in
     # some cells, where -(a + b) and (-a) + (-b) differ in the sign of zero
-    planar = pack_state(ic_planar(grid))
+    planar = ic_planar(grid)
     for model, q in itertools.product(_models(c0=1.0, ch=1.7), (noisy, planar)):
-        state = FVState(grid, model, q)
+        state = State(grid, model, q)
         mats = model.matrices
         p = main_field(q, model)
         ref = -(_roll_difference(p, 0, grid.dx) @ mats.H1
@@ -248,12 +248,12 @@ def _list_rk_step(state, dt, tab):
         for j in range(i):
             if a[i, j] != 0.0:
                 qi = qi + (dt * a[i, j]) * k[j]
-        k.append(semidiscrete_rhs(state.copy_with(qi, t0 + c[i] * dt)))
+        k.append(semidiscrete_rhs(State(state.grid, state.model, qi, t0 + c[i] * dt)))
     qn = q0
     for i in range(tab.stages):
         if b[i] != 0.0:
             qn = qn + (dt * b[i]) * k[i]
-    return state.copy_with(qn, t0 + dt)
+    return State(state.grid, state.model, qn, t0 + dt)
 
 
 @pytest.mark.parametrize("tab", [RK4, DP8], ids=["rk4", "dp8"])
@@ -289,7 +289,7 @@ def test_rk_step_uniform_state_unchanged():
     grid = Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)
     model = EnergyModel("quadratic", ModelParams())
     q = np.full((8, 8, 8), 0.3)
-    new = rk_step(FVState(grid, model, q), 0.01, get_tableau("rk4"))
+    new = rk_step(State(grid, model, q), 0.01, get_tableau("rk4"))
     assert np.array_equal(new.q, q)
     assert new.t == pytest.approx(0.01)
 
@@ -297,7 +297,7 @@ def test_rk_step_uniform_state_unchanged():
 def test_rk_step_rejects_nonpositive_dt():
     grid = Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)
     model = EnergyModel("quadratic", ModelParams())
-    state = FVState(grid, model, np.zeros((8, 8, 8)))
+    state = State(grid, model, np.zeros((8, 8, 8)))
     with pytest.raises(ValueError):
         rk_step(state, 0.0, get_tableau("rk4"))
 
@@ -320,10 +320,3 @@ def test_rk_step_temporal_order():
     e2 = np.max(np.abs(q2 - q4))
     order = np.log2(e1 / e2)
     assert order > 3.5, (e1, e2, order)
-
-
-def test_fvstate_validates_shape():
-    grid = Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)
-    model = EnergyModel("quadratic", ModelParams())
-    with pytest.raises(ValueError, match="does not fit"):
-        FVState(grid, model, np.zeros((8, 7, 8)))

@@ -8,7 +8,8 @@ matrix assembly they are checking.
 import numpy as np
 import pytest
 
-from maxglm.model import (EnergyModel, ModelParams, assemble_matrices,
+from maxglm.grid import Grid2D
+from maxglm.model import (EnergyModel, ModelParams, State, assemble_matrices,
                           energy_density, energy_flux, main_field,
                           physical_flux)
 
@@ -263,3 +264,16 @@ def test_params_reject_nonpositive_speeds():
 def test_params_reject_nonfinite_speeds(c0, ch):
     with pytest.raises(ValueError, match="finite and positive"):
         ModelParams(c0, ch)
+
+
+# --- state ------------------------------------------------------------------
+
+def test_state_validates_shape():
+    grid = Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)
+    model = quad_model()
+    with pytest.raises(ValueError, match="does not fit"):
+        State(grid, model, np.zeros((8, 7, 8)))
+    with pytest.raises(ValueError, match="does not fit"):
+        State(grid, model, np.zeros((8, 8, 7)))
+    state = State(grid, model, np.zeros((8, 8, 8)), 0.5)
+    assert state.q.dtype == np.float64 and state.t == 0.5

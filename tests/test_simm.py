@@ -7,19 +7,17 @@ import pytest
 import reference_ops as ref
 
 from maxglm import simm
-from maxglm.diagnostics import staggered_divergences
+from maxglm.diagnostics import staggered_divergences, total_energy
 from maxglm.grid import Grid2D, l2_norm
 from maxglm.harness import SIMM_LOCATIONS, ic_gaussian, ic_planar
-from maxglm.model import ModelParams
+from maxglm.model import FIELDS, EnergyModel, ModelParams, State
 from maxglm.simm import (
     CGConfig,
     NonConvergence,
-    StaggeredState,
     apply_E_operator,
     apply_phi_operator,
     cg_solve,
     simm_step,
-    total_energy_staggered,
     workspace,
 )
 
@@ -28,16 +26,13 @@ def _grid(n=16):
     return Grid2D(n, n, -1.0, 1.0, -1.0, 1.0)
 
 
+def _state(grid, params, q):
+    return State(grid, EnergyModel("quadratic", params), q)
+
+
 def _random_state(grid, params, seed=0, scale=1.0):
     rng = np.random.default_rng(seed)
-    shp = (grid.nx, grid.ny)
-    return StaggeredState(
-        grid, params,
-        B_c=rng.normal(scale=scale, size=shp + (3,)),
-        psi_c=rng.normal(scale=scale, size=shp),
-        E_p=rng.normal(scale=scale, size=shp + (3,)),
-        phi_p=rng.normal(scale=scale, size=shp),
-    )
+    return _state(grid, params, rng.normal(scale=scale, size=(grid.nx, grid.ny, 8)))
 
 
 # --- implicit operators ----------------------------------------------------
@@ -205,9 +200,7 @@ def test_stiff_step_matches_allocating_reference(monkeypatch):
     # dx != dy, and x / (2h) differs from x * (1 / (2h)) for both spacings
     g = Grid2D(16, 16, -1.1, 1.1, -1.25, 1.25)
     params = ModelParams(c0=1.0, ch=1e5)
-    fields = ic_gaussian(g, "ap", locations=SIMM_LOCATIONS)
-    state = StaggeredState(g, params, fields["B"], fields["psi"],
-                           fields["E"], fields["phi"])
+    state = _state(g, params, ic_gaussian(g, "ap", locations=SIMM_LOCATIONS))
     applies = {"phi": 0, "E": 0}
     for name in applies:
         original = getattr(simm, "apply_%s_operator" % name)
@@ -219,8 +212,8 @@ def test_stiff_step_matches_allocating_reference(monkeypatch):
     new = simm_step(state, 1e-2)
     ref_applies = {"phi": 0, "E": 0}
     expected = ref.step(state, 1e-2, ref_applies)
-    for got, want in zip((new.B_c, new.psi_c, new.E_p, new.phi_p), expected):
-        assert ref.same_bits(got, want)
+    for slots, want in zip(FIELDS.values(), expected):
+        assert ref.same_bits(new.q[..., slots], want)
     assert applies == ref_applies
 
 
@@ -236,19 +229,11 @@ def test_cg_config_validation():
 def test_step_keeps_uniform_state_exactly():
     g = _grid(8)
     params = ModelParams(c0=1.0, ch=2.0)
-    shp = (g.nx, g.ny)
-    state = StaggeredState(
-        g, params,
-        B_c=np.tile([0.1, -0.2, 1.0], shp + (1,)),
-        psi_c=np.full(shp, 0.4),
-        E_p=np.tile([0.3, 0.0, -0.5], shp + (1,)),
-        phi_p=np.full(shp, -0.8),
-    )
+    # (B, phi, E, psi) = ((0.1, -0.2, 1), -0.8, (0.3, 0, -0.5), 0.4)
+    q = np.tile([0.1, -0.2, 1.0, -0.8, 0.3, 0.0, -0.5, 0.4], (g.nx, g.ny, 1))
+    state = _state(g, params, q)
     new = simm_step(state, 0.07)
-    assert np.array_equal(new.B_c, state.B_c)
-    assert np.array_equal(new.psi_c, state.psi_c)
-    assert np.array_equal(new.E_p, state.E_p)
-    assert np.array_equal(new.phi_p, state.phi_p)
+    assert np.array_equal(new.q, state.q)
     assert new.t == pytest.approx(0.07)
 
 
@@ -263,10 +248,10 @@ def test_step_conserves_energy_for_random_data():
     g = _grid(24)
     state = _random_state(g, ModelParams(c0=1.0, ch=1.0), seed=6, scale=0.1)
     cfg = CGConfig(tol=1e-13)
-    e0 = total_energy_staggered(state)
+    e0 = total_energy(state)
     for _ in range(20):
         state = simm_step(state, 0.05, cfg)
-        drift = abs(total_energy_staggered(state) - e0) / e0
+        drift = abs(total_energy(state) - e0) / e0
         assert drift <= 1e-10, drift
 
 
@@ -275,9 +260,7 @@ def test_step_preserves_zero_divergence():
     # mimetic identities keep them there step after step
     g = Grid2D(24, 24, -1.0, 1.0, -1.0, 1.0)
     params = ModelParams()
-    fields = ic_gaussian(g, "t1", locations=SIMM_LOCATIONS)
-    state = StaggeredState(g, params, fields["B"], fields["psi"],
-                           fields["E"], fields["phi"])
+    state = _state(g, params, ic_gaussian(g, "t1", locations=SIMM_LOCATIONS))
     cfg = CGConfig(tol=1e-12)
     worst = 0.0
     for _ in range(10):
@@ -296,15 +279,14 @@ def test_planar_wave_returns_after_one_period():
     """
     g = Grid2D(20, 20, -1.0, 1.0, -1.0, 1.0)
     params = ModelParams()
-    fields = ic_planar(g, SIMM_LOCATIONS)
-    state = StaggeredState(g, params, fields["B"], fields["psi"],
-                           fields["E"], fields["phi"])
+    q0 = ic_planar(g, SIMM_LOCATIONS)
+    state = _state(g, params, q0)
     t_end = math.sqrt(2.0)
     dt0 = 0.9 / (params.c0 / g.dx + params.c0 / g.dy)
     cfg = CGConfig(tol=1e-12)
     while state.t < t_end - 1e-12:
         state = simm_step(state, min(dt0, t_end - state.t), cfg)
-    err_B1 = l2_norm(g, state.B_c[..., 0] - fields["B"][..., 0])
+    err_B1 = l2_norm(g, state.q[..., 0] - q0[..., 0])
     assert 1.5e-2 < err_B1 < 6e-2, err_B1
 
 
@@ -313,14 +295,11 @@ def test_planar_wave_returns_after_one_period():
 def test_total_energy_examples():
     g = Grid2D(10, 10, -1.0, 1.0, -1.0, 1.0)
     params = ModelParams()
-    shp = (g.nx, g.ny)
-    zero = StaggeredState(g, params, np.zeros(shp + (3,)), np.zeros(shp),
-                          np.zeros(shp + (3,)), np.zeros(shp))
-    assert total_energy_staggered(zero) == 0.0
+    q = np.zeros((g.nx, g.ny, 8))
+    assert total_energy(_state(g, params, q)) == 0.0
     # |B| = 1 everywhere on a domain of area 4 -> energy 2
-    ez = StaggeredState(g, params, np.tile([0.0, 0.0, 1.0], shp + (1,)),
-                        np.zeros(shp), np.zeros(shp + (3,)), np.zeros(shp))
-    assert total_energy_staggered(ez) == pytest.approx(2.0)
+    q[..., 2] = 1.0
+    assert total_energy(_state(g, params, q)) == pytest.approx(2.0)
 
 
 def test_total_energy_matches_direct_sum():
@@ -329,14 +308,6 @@ def test_total_energy_matches_direct_sum():
     direct = 0.0
     for i in range(g.nx):
         for j in range(g.ny):
-            direct += 0.5 * (np.sum(state.B_c[i, j] ** 2) + state.psi_c[i, j] ** 2
-                             + np.sum(state.E_p[i, j] ** 2) + state.phi_p[i, j] ** 2)
-    assert total_energy_staggered(state) == pytest.approx(g.cell_volume * direct)
-
-
-def test_state_validates_shapes():
-    g = _grid(8)
-    shp = (g.nx, g.ny)
-    with pytest.raises(ValueError, match="do not fit"):
-        StaggeredState(g, ModelParams(), np.zeros(shp + (2,)), np.zeros(shp),
-                       np.zeros(shp + (3,)), np.zeros(shp))
+            # cells (B, psi) and vertices (E, phi) weigh the same dx*dy
+            direct += 0.5 * sum(v * v for v in state.q[i, j])
+    assert total_energy(state) == pytest.approx(g.cell_volume * direct)
