@@ -185,28 +185,27 @@ def apply_E_operator(grid, params, dt, E_p, work=None):
 
 
 def simm_step(state, dt, cfg=None):
-    """Advance the staggered state by one step of size dt."""
+    """Advance the staggered state by one step of size dt.
+
+    Each solve A u^{n+1} = rhs takes its old-level terms from the operator
+    it solves with: rhs = 2 u^n - A u^n plus the coupling to the explicit
+    fields, so that u^{n+1} + u^n is what the half-time averages need.
+    """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
     g = state.grid
     m = state.model.params
     c0, ch = m.c0, m.ch
-    quarter = 0.25 * dt * dt
     work = workspace(g)
     B, phi, E, psi = (state.q[..., FIELDS[name]] for name in ("B", "phi", "E", "psi"))
 
     # scalar wave solve for phi^{n+1} (B eliminated; div curl E drops out)
-    rhs_phi = (phi
-               - dt * ch * div_c2v(g, B)
-               + quarter * ch * ch * div_c2v(g, grad_v2c(g, phi)))
+    rhs_phi = 2.0 * phi - apply_phi_operator(g, m, dt, phi, work) - dt * ch * div_c2v(g, B)
     phi_new = cg_solve(lambda u: apply_phi_operator(g, m, dt, u, work), rhs_phi, cfg)
 
     # vector wave solve for E^{n+1} (B, psi eliminated; curl grad phi drops out)
-    rhs_E = (E
-             + dt * c0 * curl_c2v(g, B)
-             - quarter * c0 * c0 * curl_c2v(g, curl_v2c(g, E))
-             - dt * ch * grad_c2v(g, psi)
-             + quarter * ch * ch * grad_c2v(g, div_v2c(g, E)))
+    rhs_E = (2.0 * E - apply_E_operator(g, m, dt, E, work)
+             + dt * c0 * curl_c2v(g, B) - dt * ch * grad_c2v(g, psi))
     E_new = cg_solve(lambda u: apply_E_operator(g, m, dt, u, work), rhs_E, cfg)
 
     # explicit updates from the half-time averages

@@ -120,7 +120,6 @@ def step(state, dt, applies):
     c0, ch = m.c0, m.ch
     q = state.q
     B, phi, E, psi = q[..., 0:3], q[..., 3], q[..., 4:7], q[..., 7]
-    quarter = 0.25 * dt * dt
 
     def counted(name, op):
         def apply(u):
@@ -128,16 +127,12 @@ def step(state, dt, applies):
             return op(g, m, dt, u)
         return apply
 
-    rhs_phi = (phi
-               - dt * ch * OPS["div_c2v"](g, B)
-               + quarter * ch * ch * OPS["div_c2v"](g, OPS["grad_v2c"](g, phi)))
-    phi_new = cg(counted("phi", phi_operator), rhs_phi)
-    rhs_E = (E
-             + dt * c0 * OPS["curl_c2v"](g, B)
-             - quarter * c0 * c0 * OPS["curl_c2v"](g, OPS["curl_v2c"](g, E))
-             - dt * ch * OPS["grad_c2v"](g, psi)
-             + quarter * ch * ch * OPS["grad_c2v"](g, OPS["div_v2c"](g, E)))
-    E_new = cg(counted("E", E_operator), rhs_E)
+    A_phi, A_E = counted("phi", phi_operator), counted("E", E_operator)
+    rhs_phi = 2.0 * phi - A_phi(phi) - dt * ch * OPS["div_c2v"](g, B)
+    phi_new = cg(A_phi, rhs_phi)
+    rhs_E = (2.0 * E - A_E(E)
+             + dt * c0 * OPS["curl_c2v"](g, B) - dt * ch * OPS["grad_c2v"](g, psi))
+    E_new = cg(A_E, rhs_E)
     phi_half = 0.5 * (phi + phi_new)
     E_half = 0.5 * (E + E_new)
     B_new = (B
