@@ -27,14 +27,14 @@ from .mimetic import (check_identities, curl_c2v, curl_v2c, div_c2v, div_v2c,
 from .model import (EnergyModel, ModelParams, State, SystemMatrices,
                     assemble_matrices, energy_density, energy_flux,
                     main_field, physical_flux)
-from .simm import (CGConfig, NonConvergence, apply_E_operator,
-                   apply_phi_operator, cg_solve, simm_step)
+from .simm import (NonConvergence, apply_E_operator, apply_phi_operator,
+                   cg_solve, simm_step)
 from .tableaux import ButcherTableau, get_tableau
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ButcherTableau", "CGConfig", "DiagnosticsSeries", "EnergyModel",
+    "ButcherTableau", "DiagnosticsSeries", "EnergyModel",
     "Grid2D", "ModelParams", "NonConvergence", "RunConfig", "State",
     "SystemMatrices", "abgrall_flux", "apply_E_operator",
     "apply_phi_operator", "assemble_matrices", "cfl_dt", "cg_solve", "check",

@@ -119,29 +119,3 @@ def convergence_order(errors):
         orders.append(np.log(e0 / e1) / np.log(n1 / n0))
     return orders
 
-
-def write_errors_csv(path, component_names, rows):
-    """errors.csv writer: one row per resolution.
-
-    rows -- list of (N, {component: error}); orders between consecutive
-    resolutions are appended per component (empty for the first row).
-    """
-    table = []
-    prev = None
-    for N, errs in rows:
-        cells = [str(N)] + full_precision(errs[c] for c in component_names)
-        if prev is None:
-            cells += [""] * len(component_names)
-        else:
-            pN, perrs = prev
-            for c in component_names:
-                if perrs[c] > 0.0 and errs[c] > 0.0:
-                    order = convergence_order([(pN, perrs[c]), (N, errs[c])])[0]
-                    cells.append("%.3f" % order)
-                else:
-                    # roundoff-level component (e.g. identically zero field)
-                    cells.append("")
-        table.append(cells)
-        prev = (N, errs)
-    write_csv(path, ["N"] + list(component_names) + ["order_" + c for c in component_names],
-              table)

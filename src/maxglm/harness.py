@@ -227,9 +227,8 @@ def _setup(config, grid, params):
                 lambda s, dt: htc.rk_step(s, dt, tab),
                 lambda prev, s: (diagnostics.collocated_divergence(s, "B"),
                                  diagnostics.collocated_divergence(s, "E")))
-    cg_cfg = simm.CGConfig(config.cg_tol, config.cg_maxiter)
     return (state,
-            lambda s, dt: simm.simm_step(s, dt, cg_cfg),
+            lambda s, dt: simm.simm_step(s, dt, config.cg_tol, config.cg_maxiter),
             lambda prev, s: diagnostics.staggered_divergences(prev, s))
 
 
@@ -252,32 +251,35 @@ def simulate(config):
     dt = dt0
     divs = divergences(state, state)  # 0.5 (u + u) == u: the initial divergences
     # a blow-up is reported once, by the finite-energy abort below, and not
-    # as numpy overflow warnings on the way there
-    with np.errstate(over="ignore", invalid="ignore"):
-        for step in itertools.count():
-            e = diagnostics.total_energy(state)
-            if not math.isfinite(e):
-                raise RuntimeError("run aborted in step %d (t=%.6g, dt=%.6g): energy is %r, "
-                                   "the state is no longer finite" % (step, state.t, dt, e))
-            series.append(state.t, e, *divs)
-            if outdir and config.snapshot_every and step % config.snapshot_every == 0:
-                write_snapshot(os.path.join(outdir, "snap_%06d.npz" % step), grid,
-                               _state_fields(state), locations, state.t)
-            if config.t_end - state.t <= eps:
-                break
-            dt = min(dt0, config.t_end - state.t)
-            try:
-                nxt = advance(state, dt)
-            except simm.NonConvergence as exc:
-                raise RuntimeError(
-                    "run aborted in step %d (t=%.6g -> %.6g): %s"
-                    % (step + 1, state.t, state.t + dt, exc)) from exc
-            divs = divergences(state, nxt)
-            state = nxt
-
-    if outdir:
-        series.write_energy_csv(os.path.join(outdir, "energy.csv"))
-        series.write_divergence_csv(os.path.join(outdir, "divergence.csv"))
+    # as numpy overflow warnings on the way there; an aborted run still
+    # writes the rows it recorded
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in itertools.count():
+                e = diagnostics.total_energy(state)
+                if not math.isfinite(e):
+                    raise RuntimeError(
+                        "run aborted in step %d (t=%.6g, dt=%.6g): energy is %r, "
+                        "the state is no longer finite" % (step, state.t, dt, e))
+                series.append(state.t, e, *divs)
+                if outdir and config.snapshot_every and step % config.snapshot_every == 0:
+                    write_snapshot(os.path.join(outdir, "snap_%06d.npz" % step), grid,
+                                   _state_fields(state), locations, state.t)
+                if config.t_end - state.t <= eps:
+                    break
+                dt = min(dt0, config.t_end - state.t)
+                try:
+                    nxt = advance(state, dt)
+                except simm.NonConvergence as exc:
+                    raise RuntimeError(
+                        "run aborted in step %d (t=%.6g -> %.6g): %s"
+                        % (step + 1, state.t, state.t + dt, exc)) from exc
+                divs = divergences(state, nxt)
+                state = nxt
+    finally:
+        if outdir:
+            series.write_energy_csv(os.path.join(outdir, "energy.csv"))
+            series.write_divergence_csv(os.path.join(outdir, "divergence.csv"))
     return series, state
 
 
@@ -413,8 +415,12 @@ def study_convergence(scheme, resolutions, rk="rk_high", cfl=0.9,
             orders[name] = []
     outdir = resolve_output_dir(output_dir)
     if outdir:
-        diagnostics.write_errors_csv(os.path.join(outdir, "errors.csv"),
-                                     COMPONENT_NAMES, rows)
+        diagnostics.write_csv(
+            os.path.join(outdir, "errors.csv"),
+            ("N",) + COMPONENT_NAMES + tuple("order_" + c for c in COMPONENT_NAMES),
+            ([str(N)] + diagnostics.full_precision(errs[c] for c in COMPONENT_NAMES)
+             + ["%.3f" % orders[c][i - 1] if i and orders[c] else "" for c in COMPONENT_NAMES]
+             for i, (N, errs) in enumerate(rows)))
         _write_summary(outdir, summarize_convergence(scheme, rows, orders))
     return rows, orders
 
@@ -438,10 +444,8 @@ def study_ap(ch_values, output_dir=None):
                            ic="gauss_ap")
         series, _ = simulate(config)
         rows.append((ch, series.div_B[-1], series.div_E[-1]))
-    orders = []
-    for (ch0, b0, e0), (ch1, b1, e1) in zip(rows, rows[1:]):
-        ratio = math.log(ch1 / ch0)
-        orders.append((math.log(b0 / b1) / ratio, math.log(e0 / e1) / ratio))
+    orders = list(zip(diagnostics.convergence_order([(ch, b) for ch, b, _ in rows]),
+                      diagnostics.convergence_order([(ch, e) for ch, _, e in rows])))
     outdir = resolve_output_dir(output_dir)
     if outdir:
         diagnostics.write_csv(

@@ -103,11 +103,15 @@ class EnergyModel:
     """An energy potential variant ('quadratic' or 'exponential') plus speeds.
 
     quadratic:    E(q) = (B^2 + E^2)/2 + (phi^2 + psi^2)/2          p(q) = q
-    exponential:  E(q) = c0 e^{B^2/2} + c0 e^{E^2/2}
-                         + (ch^2/c0)(e^{phi^2/2} + e^{psi^2/2})     p(q) = dE/dq
+    exponential:  E(q) = c0 (e^{B^2/2} - 1) + c0 (e^{E^2/2} - 1)
+                         + (ch^2/c0)(e^{phi^2/2} - 1 + e^{psi^2/2} - 1)
+                                                                   p(q) = dE/dq
 
     Both are strictly convex, so p is invertible and the flux f_k = H_k p(q)
-    admits the extra conservation law for the total energy.
+    admits the extra conservation law for the total energy.  Both vanish in
+    vacuum (q = 0): the exponential one is measured from its vacuum value
+    2 c0 + 2 ch^2/c0, which would otherwise swamp the energy of a small pulse
+    (its drift could not resolve the scheme).
     """
 
     def __init__(self, kind, params):
@@ -155,14 +159,14 @@ def _squared_magnitudes(q):
 
 
 def energy_density(q, model):
-    """Pointwise total energy density E(q)."""
+    """Pointwise total energy density E(q), zero at q = 0 (expm1, not exp - 1)."""
     s = _squared_magnitudes(np.asarray(q, dtype=float))
     if model.kind == QUADRATIC:
         return 0.5 * (s[..., 0] + s[..., 2]) + 0.5 * (s[..., 1] + s[..., 3])
     c0, ch = model.params.c0, model.params.ch
     w = ch * ch / c0
     s *= 0.5
-    np.exp(s, out=s)
+    np.expm1(s, out=s)
     return c0 * s[..., 0] + c0 * s[..., 2] + w * s[..., 1] + w * s[..., 3]
 
 

@@ -31,23 +31,6 @@ from .mimetic import (curl_c2v, curl_v2c, diff, div_c2v, div_v2c, grad_c2v, grad
 from .model import FIELDS, State
 
 
-class CGConfig:
-    """Conjugate gradient settings.
-
-    tol      -- relative residual tolerance (volume-weighted norm; the weight
-                is uniform so plain Euclidean norms give the identical test)
-    maxiter  -- iteration cap; 0 means 10 * (number of grid points)
-    """
-
-    def __init__(self, tol=1e-12, maxiter=0):
-        if not tol > 0.0:
-            raise ValueError("tol must be positive")
-        if maxiter < 0:
-            raise ValueError("maxiter must be >= 1 (or 0 for the default)")
-        self.tol = float(tol)
-        self.maxiter = int(maxiter)
-
-
 class NonConvergence(RuntimeError):
     """CG hit the iteration cap; carries how far it got."""
 
@@ -68,10 +51,13 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def cg_solve(apply_op, rhs, cfg=None):
+def cg_solve(apply_op, rhs, tol=1e-12, maxiter=0):
     """Solve apply_op(x) = rhs for an SPD operator, starting from zero.
 
-    Returns x with ||apply_op(x) - rhs|| <= tol * ||rhs||.  A zero rhs returns
+    Returns x with ||apply_op(x) - rhs|| <= tol * ||rhs|| (Euclidean norms:
+    the volume weight is uniform, so they give the weighted test exactly),
+    raising NonConvergence after maxiter iterations; maxiter 0 means ten per
+    grid point.  A zero rhs returns
     an exactly zero field (this matters: it keeps untouched components exactly
     untouched in long divergence-preservation runs).  On convergence of the
     residual recurrence the true residual is re-checked once; if rounding has
@@ -81,18 +67,13 @@ def cg_solve(apply_op, rhs, cfg=None):
     below what rounding allows, and raises NonConvergence at once.  apply_op
     must return a fresh array: the iteration updates it in place.
     """
-    if cfg is None:
-        cfg = CGConfig()
     b = np.asarray(rhs, dtype=float)
     b2 = _dot(b, b)
     if b2 == 0.0:
         return np.zeros_like(b)
-    if cfg.maxiter:
-        maxiter = cfg.maxiter
-    else:
-        pts = b.shape[0] * b.shape[1] if b.ndim >= 2 else b.size
-        maxiter = 10 * pts
-    tol2 = cfg.tol * cfg.tol * b2
+    if not maxiter:
+        maxiter = 10 * (b.shape[0] * b.shape[1] if b.ndim >= 2 else b.size)
+    tol2 = tol * tol * b2
 
     x = np.zeros_like(b)
     r = b.copy()
@@ -184,12 +165,13 @@ def apply_E_operator(grid, params, dt, E_p, work=None):
     return out
 
 
-def simm_step(state, dt, cfg=None):
+def simm_step(state, dt, tol=1e-12, maxiter=0):
     """Advance the staggered state by one step of size dt.
 
     Each solve A u^{n+1} = rhs takes its old-level terms from the operator
     it solves with: rhs = 2 u^n - A u^n plus the coupling to the explicit
     fields, so that u^{n+1} + u^n is what the half-time averages need.
+    tol and maxiter go to both CG solves.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -201,12 +183,12 @@ def simm_step(state, dt, cfg=None):
 
     # scalar wave solve for phi^{n+1} (B eliminated; div curl E drops out)
     rhs_phi = 2.0 * phi - apply_phi_operator(g, m, dt, phi, work) - dt * ch * div_c2v(g, B)
-    phi_new = cg_solve(lambda u: apply_phi_operator(g, m, dt, u, work), rhs_phi, cfg)
+    phi_new = cg_solve(lambda u: apply_phi_operator(g, m, dt, u, work), rhs_phi, tol, maxiter)
 
     # vector wave solve for E^{n+1} (B, psi eliminated; curl grad phi drops out)
     rhs_E = (2.0 * E - apply_E_operator(g, m, dt, E, work)
              + dt * c0 * curl_c2v(g, B) - dt * ch * grad_c2v(g, psi))
-    E_new = cg_solve(lambda u: apply_E_operator(g, m, dt, u, work), rhs_E, cfg)
+    E_new = cg_solve(lambda u: apply_E_operator(g, m, dt, u, work), rhs_E, tol, maxiter)
 
     # explicit updates from the half-time averages
     phi_half = 0.5 * (phi + phi_new)

@@ -56,6 +56,8 @@ def test_run_reports_bad_override(capsys):
 
 @pytest.mark.parametrize("overrides", [
     ["ic=gauss_t1", "sigma=1e-3", "nx=8", "ny=8"],  # samples to all-zero data
+    # the exponential energy is measured from its vacuum value, so zero too
+    ["energy=exponential", "ic=gauss_t1", "sigma=1e-3", "nx=8", "ny=8"],
     ["sigma=0"],
     ["t_end=nan"],
     ["t_end=inf"],
@@ -87,6 +89,25 @@ def test_run_aborts_on_non_finite_energy(capsys):
     assert "energy is inf" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_aborted_run_keeps_its_record(tmp_path, capsys):
+    # CG capped at 2 iterations cannot solve the first step at ch=50
+    out = tmp_path / "abort"
+    overrides = ["scheme=simm", "ch=50", "nx=16", "ny=16", "dt=0.1", "t_end=0.3",
+                 "cg_maxiter=2", "snapshot_every=1", "output_dir=%s" % out]
+    rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: run aborted in step 1 ")
+    assert "did not converge" in captured.err
+    for name, header in (("energy.csv", "t,energy,rel_energy_err"),
+                         ("divergence.csv", "t,div_B,div_E")):
+        lines = (out / name).read_text().splitlines()
+        assert lines[0] == header
+        assert len(lines) == 2 and lines[1].startswith("0,"), lines
+    assert sorted(p.name for p in out.iterdir()) == [
+        "divergence.csv", "energy.csv", "snap_000000.npz"]
 
 
 def test_convergence_subcommand(tmp_path, capsys):

@@ -10,10 +10,10 @@ from maxglm.diagnostics import (
     convergence_order,
     staggered_divergences,
     total_energy,
-    write_errors_csv,
 )
+from maxglm import harness
 from maxglm.grid import Grid2D
-from maxglm.harness import SIMM_LOCATIONS, ic_gaussian, ic_planar
+from maxglm.harness import COMPONENT_NAMES, SIMM_LOCATIONS, ic_gaussian, ic_planar
 from maxglm.model import PHI, PSI, EnergyModel, ModelParams, State, energy_density
 
 
@@ -166,19 +166,23 @@ def test_energy_csv_round_trip(tmp_path):
     assert ddata["div_E"][0] == 2e-16
 
 
-def test_errors_csv_orders_and_zero_columns(tmp_path):
-    rows = [
-        (20, {"B1": 4.0e-2, "E3": 0.0}),
-        (40, {"B1": 1.0e-2, "E3": 0.0}),
-    ]
-    p = tmp_path / "errors.csv"
-    write_errors_csv(p, ["B1", "E3"], rows)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "N,B1,E3,order_B1,order_E3"
-    last = lines[2].split(",")
-    assert last[0] == "40"
-    assert float(last[3]) == pytest.approx(2.0, abs=1e-3)
-    assert last[4] == ""  # zero-error component gets no order, not a crash
+def test_errors_csv_orders_and_zero_columns(tmp_path, monkeypatch):
+    # the study's runs replaced by planted errors: second order, E3 exactly 0
+    errors = {N: dict.fromkeys(COMPONENT_NAMES, 4.0 / N ** 2) for N in (20, 40)}
+    for errs in errors.values():
+        errs["E3"] = 0.0
+    monkeypatch.setattr(harness, "simulate", lambda config: (None, config.nx))
+    monkeypatch.setattr(harness, "_final_errors", lambda config, N: errors[N])
+    _, orders = harness.study_convergence("htc", [20, 40], output_dir=str(tmp_path))
+    lines = (tmp_path / "errors.csv").read_text().splitlines()
+    assert lines[0] == ",".join(("N",) + COMPONENT_NAMES
+                                + tuple("order_" + c for c in COMPONENT_NAMES))
+    first, last = lines[1].split(","), lines[2].split(",")
+    assert first[0] == "20" and first[9:] == [""] * 8
+    assert last[0] == "40" and float(last[1]) == 4.0 / 1600
+    assert last[9] == "%.3f" % orders["B1"][0] == "2.000"
+    assert last[9 + COMPONENT_NAMES.index("E3")] == ""  # no order, not a crash
+    assert orders["E3"] == []
 
 
 def test_config_hash_stable_and_order_independent():

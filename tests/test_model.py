@@ -39,8 +39,8 @@ def test_energy_density_unit_fields_quadratic():
 
 
 def test_energy_density_zero_state_exponential():
-    # c0 + c0 + ch^2/c0 + ch^2/c0 at q = 0 with c0 = ch = 1
-    assert energy_density(np.zeros(8), exp_model()) == pytest.approx(4.0)
+    # measured from the vacuum value 2 c0 + 2 ch^2/c0, so exactly 0 at q = 0
+    assert energy_density(np.zeros(8), exp_model(1.0, 2.0)) == 0.0
 
 
 def test_energy_density_positive_exponential():
@@ -81,7 +81,10 @@ def test_main_field_matches_energy_gradient(make):
 # --- equivalence with the per-slice formulas -----------------------------------
 
 def _per_slice_energy_density(q, model):
-    """E(q) with np.sum over each 3-vector: the reference the fast form must match."""
+    """E(q) with np.sum over each 3-vector: the reference the fast form must match.
+
+    The exponential terms use expm1, the energy above its vacuum value.
+    """
     B2 = np.sum(q[..., 0:3] * q[..., 0:3], axis=-1)
     E2 = np.sum(q[..., 4:7] * q[..., 4:7], axis=-1)
     phi, psi = q[..., 3], q[..., 7]
@@ -89,8 +92,8 @@ def _per_slice_energy_density(q, model):
         return 0.5 * (B2 + E2) + 0.5 * (phi * phi + psi * psi)
     c0, ch = model.params.c0, model.params.ch
     w = ch * ch / c0
-    return (c0 * np.exp(0.5 * B2) + c0 * np.exp(0.5 * E2)
-            + w * np.exp(0.5 * phi * phi) + w * np.exp(0.5 * psi * psi))
+    return (c0 * np.expm1(0.5 * B2) + c0 * np.expm1(0.5 * E2)
+            + w * np.expm1(0.5 * phi * phi) + w * np.expm1(0.5 * psi * psi))
 
 
 def _per_slice_main_field(q, model):
