@@ -1,11 +1,14 @@
 """Staggered semi-implicit scheme (quadratic energy only).
 
-B and psi live at cell centers, E and phi at vertices.  One step of size dt:
+The state is a `model.State` whose B and psi are sampled at cell centers and
+whose E and phi are sampled at vertices.  One step of size dt:
 
   1. eliminate B from the phi update (Schur complement) and solve the scalar
-     wave equation  (I - dt^2 ch^2/4 div grad) phi^{n+1} = rhs  at vertices;
+     wave equation  A_phi phi^{n+1} = 2 phi^n - A_phi phi^n - dt ch div B^n
+     at vertices, with A_phi = I - dt^2 ch^2/4 div grad;
   2. eliminate B and psi from the E update and solve the vector wave equation
-     (I + dt^2 c0^2/4 curl curl - dt^2 ch^2/4 grad div) E^{n+1} = rhs;
+     A_E E^{n+1} = 2 E^n - A_E E^n + dt c0 curl B^n - dt ch grad psi^n, with
+     A_E = I + dt^2 c0^2/4 curl curl - dt^2 ch^2/4 grad div;
   3. update B and psi explicitly from the half-time averages of E and phi.
 
 The eliminations decouple exactly because the mimetic identities div curl = 0
@@ -13,7 +16,8 @@ and curl grad = 0 hold to roundoff.  Both implicit operators are symmetric
 positive definite in the volume-weighted inner product (the two stencil
 directions are negative adjoints of each other), so a plain conjugate
 gradient iteration solves them matrix-free.  With exact solves the scheme
-conserves the staggered total energy identically, for any dt.
+conserves the total energy (`diagnostics.total_energy`) identically, for any
+dt.
 
 The solves dominate the cost: each implicit operator chains the padded
 stencils of `mimetic` over a per-step workspace of six reused buffers, and CG

@@ -167,8 +167,8 @@ def test_collocated_energy_conservation_long_run():
 def _exponential_excess_energy(state):
     """Total exponential energy minus its vacuum value, summed via expm1.
 
-    The vacuum energy (2 c0 + 2 ch^2/c0 per unit area) dwarfs the excess of a
-    small pulse, so the drift of the plain total cannot resolve the scheme.
+    Written out per field with np.sum, apart from `model.energy_density`
+    (which measures the same excess), so the gate does not rest on it alone.
     """
     q = state.q
     c0, ch = state.model.params.c0, state.model.params.ch

@@ -167,21 +167,25 @@ def test_energy_csv_round_trip(tmp_path):
 
 
 def test_errors_csv_orders_and_zero_columns(tmp_path, monkeypatch):
-    # the study's runs replaced by planted errors: second order, E3 exactly 0
-    errors = {N: dict.fromkeys(COMPONENT_NAMES, 4.0 / N ** 2) for N in (20, 40)}
+    # the study's runs replaced by planted errors: order 2, then order 1, and
+    # E3 exactly 0
+    errors = {N: dict.fromkeys(COMPONENT_NAMES, e) for N, e in ((20, 4e-2), (40, 1e-2),
+                                                                 (80, 5e-3))}
     for errs in errors.values():
         errs["E3"] = 0.0
     monkeypatch.setattr(harness, "simulate", lambda config: (None, config.nx))
     monkeypatch.setattr(harness, "_final_errors", lambda config, N: errors[N])
-    _, orders = harness.study_convergence("htc", [20, 40], output_dir=str(tmp_path))
+    _, orders = harness.study_convergence("htc", [20, 40, 80], output_dir=str(tmp_path))
     lines = (tmp_path / "errors.csv").read_text().splitlines()
     assert lines[0] == ",".join(("N",) + COMPONENT_NAMES
                                 + tuple("order_" + c for c in COMPONENT_NAMES))
-    first, last = lines[1].split(","), lines[2].split(",")
-    assert first[0] == "20" and first[9:] == [""] * 8
-    assert last[0] == "40" and float(last[1]) == 4.0 / 1600
-    assert last[9] == "%.3f" % orders["B1"][0] == "2.000"
-    assert last[9 + COMPONENT_NAMES.index("E3")] == ""  # no order, not a crash
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == ["20", "40", "80"]
+    assert float(rows[1][1]) == 1e-2
+    assert rows[0][9:] == [""] * 8
+    assert [row[9] for row in rows[1:]] == ["%.3f" % o for o in orders["B1"]] == ["2.000",
+                                                                                 "1.000"]
+    assert rows[2][9 + COMPONENT_NAMES.index("E3")] == ""  # no order, not a crash
     assert orders["E3"] == []
 
 
