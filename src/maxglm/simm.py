@@ -183,7 +183,10 @@ def simm_step(state, dt, tol=1e-12, maxiter=0):
     m = state.model.params
     c0, ch = m.c0, m.ch
     work = workspace(g)
-    B, phi, E, psi = (state.q[..., FIELDS[name]] for name in ("B", "phi", "E", "psi"))
+    # contiguous copies: the stencils and updates below run measurably slower
+    # on q's interleaved views (about 4% of a 160^2 run with ch = 1)
+    B, phi, E, psi = (np.ascontiguousarray(state.q[..., FIELDS[name]])
+                      for name in ("B", "phi", "E", "psi"))
 
     # scalar wave solve for phi^{n+1} (B eliminated; div curl E drops out)
     rhs_phi = 2.0 * phi - apply_phi_operator(g, m, dt, phi, work) - dt * ch * div_c2v(g, B)

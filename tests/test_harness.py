@@ -102,6 +102,7 @@ def test_make_config_rejects_bad_override():
         (dict(c0=math.inf), "wave speeds must be finite and positive"),
         (dict(c0=0.0), "wave speeds must be finite and positive"),
         (dict(cg_tol=math.inf), "cg_tol must be finite and positive"),
+        (dict(cg_maxiter=-1), "nonnegative"),
     ],
 )
 def test_config_validation_errors(kwargs, match):
