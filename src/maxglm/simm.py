@@ -61,9 +61,9 @@ def cg_solve(apply_op, rhs, tol=1e-12, maxiter=0):
     Returns x with ||apply_op(x) - rhs|| <= tol * ||rhs|| (Euclidean norms:
     the volume weight is uniform, so they give the weighted test exactly),
     raising NonConvergence after maxiter iterations; maxiter 0 means ten per
-    grid point.  A zero rhs returns
-    an exactly zero field (this matters: it keeps untouched components exactly
-    untouched in long divergence-preservation runs).  On convergence of the
+    grid point.  A zero rhs returns an exactly zero field (this matters: it
+    keeps untouched components exactly untouched in long
+    divergence-preservation runs).  On convergence of the
     residual recurrence the true residual is re-checked once; if rounding has
     made the recurrence optimistic the iteration restarts from the true
     residual (only ever observed for extreme dt*ch).  A restart whose true
@@ -173,9 +173,8 @@ def simm_step(state, dt, tol=1e-12, maxiter=0):
     """Advance the staggered state by one step of size dt.
 
     Each solve A u^{n+1} = rhs takes its old-level terms from the operator
-    it solves with: rhs = 2 u^n - A u^n plus the coupling to the explicit
-    fields, so that u^{n+1} + u^n is what the half-time averages need.
-    tol and maxiter go to both CG solves.
+    it inverts, rhs = 2 u^n - A u^n plus the coupling to B and psi (see the
+    module docstring).  tol and maxiter go to both CG solves.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
