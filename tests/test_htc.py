@@ -294,6 +294,18 @@ def test_rk_step_uniform_state_unchanged():
     assert new.t == pytest.approx(0.01)
 
 
+def test_fvstate_validates_shape():
+    """The collocated scheme's state is the single State: q must be (nx, ny, 8)."""
+    grid = Grid2D(8, 6, -1.0, 1.0, -1.0, 1.0)
+    model = EnergyModel("quadratic", ModelParams())
+    with pytest.raises(ValueError, match="does not fit"):
+        State(grid, model, np.zeros((6, 8, 8)))  # transposed cell grid
+    with pytest.raises(ValueError, match="does not fit"):
+        State(grid, model, np.zeros((8, 6, 9)))
+    new = rk_step(State(grid, model, np.zeros((8, 6, 8))), 0.01, get_tableau("rk4"))
+    assert new.q.shape == (8, 6, 8)
+
+
 def test_rk_step_rejects_nonpositive_dt():
     grid = Grid2D(8, 8, -1.0, 1.0, -1.0, 1.0)
     model = EnergyModel("quadratic", ModelParams())

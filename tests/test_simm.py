@@ -314,6 +314,18 @@ def test_total_energy_examples():
     assert total_energy(_state(g, params, q)) == pytest.approx(2.0)
 
 
+def test_state_validates_shapes():
+    """The staggered fields share one (nx, ny, 8) array; a lone field does not fit."""
+    g = _grid(8)
+    shp = (g.nx, g.ny)
+    with pytest.raises(ValueError, match="does not fit"):
+        _state(g, ModelParams(), np.zeros(shp + (2,)))  # B alone
+    with pytest.raises(ValueError, match="does not fit"):
+        _state(g, ModelParams(), np.zeros((g.nx + 1, g.ny, 8)))
+    new = simm_step(_state(g, ModelParams(), np.zeros(shp + (8,))), 0.05)
+    assert new.q.shape == shp + (8,)
+
+
 def test_total_energy_matches_direct_sum():
     g = Grid2D(7, 9, 0.0, 2.0, -1.0, 1.0)
     state = _random_state(g, ModelParams(), seed=7)
