@@ -517,28 +517,27 @@ def _check_ops(report):
         dt = 1e-2
         cc = 0.25 * dt * dt * params.c0 * params.c0
         ch2 = 0.25 * dt * dt * params.ch * params.ch
+
+        def pair(u):  # the in-plane rows of the vector operator, E3 = 0
+            E = np.concatenate([u, np.zeros(u.shape[:2] + (1,))], axis=-1)
+            return (E + cc * mimetic.curl_c2v(g, mimetic.curl_v2c(g, E))
+                    - ch2 * mimetic.grad_c2v(g, mimetic.div_v2c(g, E)))[..., :2]
+
+        def scalar(speed, c):
+            return ((g.nx, g.ny), lambda u: simm.apply_phi_operator(g, params, dt, u, speed=speed),
+                    lambda u: u - c * mimetic.div_c2v(g, mimetic.grad_v2c(g, u)))
+        # phi, E3 (the phi operator at c0) and (E1, E2), fused and composed
+        ops = (scalar(ch, ch2), scalar(params.c0, cc),
+               ((g.nx, g.ny, 2), lambda u: simm.apply_E_operator(g, params, dt, u), pair))
         worst_sym, min_quad, worst_fused = 0.0, np.inf, 0.0
         for _ in range(100):
-            u = rng.standard_normal((g.nx, g.ny))
-            v = rng.standard_normal((g.nx, g.ny))
-            Au = simm.apply_phi_operator(g, params, dt, u)
-            Av = simm.apply_phi_operator(g, params, dt, v)
-            a, bb = np.sum(u * Av), np.sum(Au * v)
-            worst_sym = max(worst_sym, abs(a - bb) / max(1.0, abs(a), abs(bb)))
-            min_quad = min(min_quad, np.sum(u * Au) / np.sum(u * u))
-            uE = rng.standard_normal((g.nx, g.ny, 3))
-            vE = rng.standard_normal((g.nx, g.ny, 3))
-            AuE = simm.apply_E_operator(g, params, dt, uE)
-            AvE = simm.apply_E_operator(g, params, dt, vE)
-            a, bb = np.sum(uE * AvE), np.sum(AuE * vE)
-            worst_sym = max(worst_sym, abs(a - bb) / max(1.0, abs(a), abs(bb)))
-            min_quad = min(min_quad, np.sum(uE * AuE) / np.sum(uE * uE))
-            # the fused operators against their composition from the public ones
-            ref = u - ch2 * mimetic.div_c2v(g, mimetic.grad_v2c(g, u))
-            refE = (uE + cc * mimetic.curl_c2v(g, mimetic.curl_v2c(g, uE))
-                    - ch2 * mimetic.grad_c2v(g, mimetic.div_v2c(g, uE)))
-            worst_fused = max(worst_fused, np.max(np.abs(Au - ref)),
-                              np.max(np.abs(AuE - refE)))
+            for shape, apply_op, composed in ops:
+                u, v = rng.standard_normal(shape), rng.standard_normal(shape)
+                Au, Av = apply_op(u), apply_op(v)
+                a, bb = np.sum(u * Av), np.sum(Au * v)
+                worst_sym = max(worst_sym, abs(a - bb) / max(1.0, abs(a), abs(bb)))
+                min_quad = min(min_quad, np.sum(u * Au) / np.sum(u * u))
+                worst_fused = max(worst_fused, np.max(np.abs(Au - composed(u))))
         report.add("implicit operator symmetry (ch=%g)" % ch, worst_sym, 1e-13)
         # positive definiteness: the quadratic form must stay >= ||u||^2
         report.add("implicit operator positivity (ch=%g)" % ch,

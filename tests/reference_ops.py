@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from maxglm.simm import NonConvergence
+from maxglm.simm import ROUNDING_FLOOR, NonConvergence
 
 
 def dx_cv(u, g):
@@ -63,12 +63,14 @@ OPS = {
 }
 
 
-def phi_operator(g, params, dt, phi_p):
-    c = 0.25 * dt * dt * params.ch * params.ch
+def phi_operator(g, params, dt, phi_p, speed=None):
+    s = params.ch if speed is None else speed
+    c = 0.25 * dt * dt * s * s
     return phi_p - c * OPS["div_c2v"](g, OPS["grad_v2c"](g, phi_p))
 
 
 def E_operator(g, params, dt, E_p):
+    """The vector wave operator on a full (nx, ny, 3) vertex vector."""
     cc = 0.25 * dt * dt * params.c0 * params.c0
     ch2 = 0.25 * dt * dt * params.ch * params.ch
     return (E_p
@@ -76,33 +78,51 @@ def E_operator(g, params, dt, E_p):
             - ch2 * OPS["grad_c2v"](g, OPS["div_v2c"](g, E_p)))
 
 
+def E_pair_operator(g, params, dt, E_p):
+    """Rows x and y of E_operator on the in-plane pair (E1, E2), with E3 = 0."""
+    E = np.concatenate([E_p, np.zeros(E_p.shape[:2] + (1,))], axis=-1)
+    return E_operator(g, params, dt, E)[..., :2]
+
+
 def dot(a, b):
     """The package's reduction order: one einsum over the flattened arrays."""
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def cg(apply_op, b, tol=1e-12):
-    """Allocating CG with a true-residual restart, as a bitwise reference."""
+def cg(apply_op, b, op_norm, tol=1e-12):
+    """Allocating CG with the package's stop and restarts, as a bitwise reference."""
+    b = np.ascontiguousarray(b)
     b2 = dot(b, b)
     if b2 == 0.0:
         return np.zeros_like(b)
     maxiter = 10 * b.shape[0] * b.shape[1]
-    tol2 = tol * tol * b2
+    bn = math.sqrt(b2)
     x = np.zeros_like(b)
+
+    def bound2(floor):
+        return (tol * bn + floor * (bn + op_norm * math.sqrt(dot(x, x)))) ** 2
+
     r = b.copy()
     d = r.copy()
     rs = b2
+    restart_rs = math.inf
     for it in range(1, maxiter + 1):
         Ad = apply_op(d)
         alpha = rs / dot(d, Ad)
         x += alpha * d
         r -= alpha * Ad
         rs_new = dot(r, r)
-        if rs_new <= tol2:
+        stop2 = bound2(ROUNDING_FLOOR)
+        if rs_new <= stop2:
             r = b - apply_op(x)
             rs = dot(r, r)
-            if rs <= tol2:
+            if rs <= stop2:
                 return x
+            if rs >= restart_rs:
+                if rs <= bound2(1e-12):
+                    return x
+                raise NonConvergence(it, math.sqrt(rs / b2))
+            restart_rs = rs
             d = r.copy()
             continue
         d = r + (rs_new / rs) * d
@@ -113,33 +133,36 @@ def cg(apply_op, b, tol=1e-12):
 def step(state, dt, applies):
     """The staggered step of `maxglm.simm.simm_step`, from the forms above.
 
-    Returns the new (B, phi, E, psi) and counts operator applications in
-    `applies`.
+    Solves for the half-time averages of phi, (E1, E2) and E3, and returns
+    the new (B, phi, E, psi); counts operator applications in `applies` (the
+    E3 solve uses the phi operator at c0 and counts as "phi").
     """
     g, m = state.grid, state.model.params
     c0, ch = m.c0, m.ch
     q = state.q
     B, phi, E, psi = q[..., 0:3], q[..., 3], q[..., 4:7], q[..., 7]
 
-    def counted(name, op):
+    def counted(name, op, **speed):
         def apply(u):
             applies[name] += 1
-            return op(g, m, dt, u)
+            return op(g, m, dt, u, **speed)
         return apply
 
-    A_phi, A_E = counted("phi", phi_operator), counted("E", E_operator)
-    rhs_phi = 2.0 * phi - A_phi(phi) - dt * ch * OPS["div_c2v"](g, B)
-    phi_new = cg(A_phi, rhs_phi)
-    rhs_E = (2.0 * E - A_E(E)
-             + dt * c0 * OPS["curl_c2v"](g, B) - dt * ch * OPS["grad_c2v"](g, psi))
-    E_new = cg(A_E, rhs_E)
-    phi_half = 0.5 * (phi + phi_new)
-    E_half = 0.5 * (E + E_new)
+    def norm(c):
+        return 1.0 + (0.5 * dt * c) ** 2 * (4.0 / g.dx ** 2 + 4.0 / g.dy ** 2)
+
+    w_phi = cg(counted("phi", phi_operator), phi - 0.5 * dt * ch * OPS["div_c2v"](g, B),
+               norm(ch))
+    rhs_E = (E + 0.5 * dt * c0 * OPS["curl_c2v"](g, B)
+             - 0.5 * dt * ch * OPS["grad_c2v"](g, psi))
+    w_E = np.empty(E.shape)
+    w_E[..., :2] = cg(counted("E", E_pair_operator), rhs_E[..., :2], norm(max(c0, ch)))
+    w_E[..., 2] = cg(counted("phi", phi_operator, speed=c0), rhs_E[..., 2], norm(c0))
     B_new = (B
-             - dt * c0 * OPS["curl_v2c"](g, E_half)
-             - dt * ch * OPS["grad_v2c"](g, phi_half))
-    psi_new = psi - dt * ch * OPS["div_v2c"](g, E_half)
-    return B_new, phi_new, E_new, psi_new
+             - dt * c0 * OPS["curl_v2c"](g, w_E)
+             - dt * ch * OPS["grad_v2c"](g, w_phi))
+    psi_new = psi - dt * ch * OPS["div_v2c"](g, w_E)
+    return B_new, 2.0 * w_phi - phi, 2.0 * w_E - E, psi_new
 
 
 # grids for the bitwise checks: square, dx != dy, and the smallest shapes
