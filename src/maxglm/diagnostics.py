@@ -8,7 +8,6 @@ from .grid import l2_norm
 from .htc import _central_difference
 from .mimetic import div_c2v, div_v2c
 from .model import FIELDS, QUADRATIC, energy_density
-from .simm import _dot
 
 
 class DiagnosticsSeries:
@@ -74,11 +73,13 @@ def total_energy(state):
     """Volume-weighted total energy, cell_volume * sum of energy_density(q).
 
     One formula for both schemes: every cell and every vertex carries the
-    same weight dx*dy on the periodic grid.  The quadratic energy is one
-    single-threaded pass, 0.5 dV <q, q>.
+    same weight dx*dy on the periodic grid.  The quadratic energy is
+    0.5 dV sum(q^2), summed pairwise: an einsum dot is faster but sums in
+    one sweep, and on the staggered t=10 gate its rounding reads a drift of
+    5.6e-15 where this sum reads 2.2e-16.
     """
     if state.model.kind == QUADRATIC:
-        return 0.5 * state.grid.cell_volume * _dot(state.q, state.q)
+        return 0.5 * state.grid.cell_volume * float(np.square(state.q).sum())
     return state.grid.cell_volume * float(
         np.sum(energy_density(state.q, state.model)))
 

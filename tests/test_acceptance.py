@@ -312,7 +312,7 @@ def test_staggered_energy_independent_of_cg_tolerance():
     """Solving for the half-time averages leaves no tolerance in the energy.
 
     At cg_tol = 1e-2 the solutions are inaccurate, but CG's residual stays
-    orthogonal to its iterate; the worst drift measured was 3.1e-15.
+    orthogonal to its iterate; the worst drift measured was 1.0e-15.
     """
     drifts = []
     for tol in (1e-2, 1e-6, 1e-12):
