@@ -23,6 +23,7 @@ an array of states with the component axis last, shape (..., 8).
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -47,23 +48,13 @@ class ModelParams:
         self.c0 = c0
         self.ch = ch
 
-    def __repr__(self):
-        return "ModelParams(c0=%g, ch=%g)" % (self.c0, self.ch)
 
-
-class SystemMatrices:
+class SystemMatrices(namedtuple("SystemMatrices", "H1 H2 H3 R Lambda")):
     """The symmetric flux matrices H1, H2, H3 plus the eigendecomposition of H1.
 
     Lambda holds the eigenvalues (-ch, -ch, -c0, -c0, +c0, +c0, +ch, +ch) and
     R the matching right eigenvectors as columns, so H1 @ R == R @ diag(Lambda).
     """
-
-    def __init__(self, H1, H2, H3, R, Lambda):
-        self.H1 = H1
-        self.H2 = H2
-        self.H3 = H3
-        self.R = R
-        self.Lambda = Lambda
 
 
 def assemble_matrices(params):
@@ -119,16 +110,7 @@ class EnergyModel:
             raise ValueError("unknown energy model %r" % (kind,))
         self.kind = kind
         self.params = params
-        self._matrices = None
-
-    @property
-    def matrices(self):
-        if self._matrices is None:
-            self._matrices = assemble_matrices(self.params)
-        return self._matrices
-
-    def __repr__(self):
-        return "EnergyModel(%r, %r)" % (self.kind, self.params)
+        self.matrices = assemble_matrices(params)
 
 
 class State:
@@ -190,14 +172,9 @@ def main_field(q, model):
 
 
 def _H(model, k):
-    mats = model.matrices
-    if k == 1:
-        return mats.H1
-    if k == 2:
-        return mats.H2
-    if k == 3:
-        return mats.H3
-    raise ValueError("axis k must be 1, 2 or 3, got %r" % (k,))
+    if k not in (1, 2, 3):
+        raise ValueError("axis k must be 1, 2 or 3, got %r" % (k,))
+    return model.matrices[k - 1]
 
 
 def physical_flux(q, model, k):

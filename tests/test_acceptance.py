@@ -281,7 +281,9 @@ def test_implicit_operators_spd_for_stiff_settings():
                 Au = apply_op(u)
                 Av = apply_op(v)
                 a, b = float(np.sum(u * Av)), float(np.sum(Au * v))
-                worst_sym = max(worst_sym, abs(a - b) / max(1.0, abs(a), abs(b)))
+                norms = (np.linalg.norm(u) * np.linalg.norm(Av)
+                         + np.linalg.norm(v) * np.linalg.norm(Au))
+                worst_sym = max(worst_sym, abs(a - b) / norms)
                 min_quad = min(min_quad, float(np.sum(u * Au) / np.sum(u * u)))
     ok = worst_sym <= 1e-13 and min_quad > 0.0
     _gate(ok, "implicit operators SPD at dt*ch in {1, 1000}",

@@ -64,6 +64,8 @@ def test_run_reports_bad_override(capsys):
     ["c0=1e300", "nx=8", "ny=8", "t_end=0.2"],  # dt ~ 1e-301 would never reach t_end
     # the exponential energy is measured from its vacuum value, so zero too
     ["energy=exponential", "ic=gauss_t1", "sigma=1e-3", "nx=8", "ny=8"],
+    # sin(pi (x - y)) sampled at its zeros: an initial energy of 4e-32, not 0
+    ["nx=2", "ny=2"],
 ])
 def test_run_rejects_degenerate_configs(capsys, overrides):
     rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
@@ -89,6 +91,26 @@ def test_run_aborts_on_non_finite_energy(capsys):
     assert "energy is inf" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("ch", ["1e6", "1e7"])
+def test_staggered_run_aborts_on_energy_drift(tmp_path, capsys, ch):
+    # at dt*ch >= 1e6 the in-plane CG solve stops on an O(1) residual, and
+    # the staggered energy, conserved at any dt, drifts in the first step
+    out = tmp_path / "drift"
+    overrides = ["scheme=simm", "ch=" + ch, "dt=1", "ic=gauss_ap", "nx=16", "ny=16",
+                 "t_end=3", "output_dir=%s" % out]
+    rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: run aborted in step 1 ")
+    assert "dt*ch=%s" % ch.replace("e", "e+0") in captured.err
+    assert "relative energy drift" in captured.err
+    assert captured.out == ""
+    # the CSVs keep every row through the aborted step
+    for name in ("energy.csv", "divergence.csv"):
+        lines = (out / name).read_text().splitlines()
+        assert len(lines) == 3 and lines[2].startswith("1,"), lines
 
 
 def test_aborted_run_keeps_its_record(tmp_path, capsys):

@@ -254,7 +254,7 @@ def test_summarize_ap_gates_only_final_pair():
     from maxglm.harness import AP_REFERENCE
 
     rows = [(ch, b, e) for ch, (b, e) in sorted(AP_REFERENCE.items())]
-    orders = [(1.0, 1.0), (1.9, 1.9), (2.0, 2.0)]
+    orders = [(1.0, 1.0), (1.9, 1.9), (2.0, 2.0), (2.0, 2.0), (2.0, 2.0)]
     lines = summarize_ap(rows, orders)
     assert all(l.startswith("PASS") for l in lines)
 
@@ -262,8 +262,18 @@ def test_summarize_ap_gates_only_final_pair():
     # pre-asymptotic pair: informational, not a failure
     assert truncated[-1].startswith("INFO")
 
-    bad = summarize_ap(rows, [(1.0, 1.0), (1.9, 1.9), (1.5, 2.0)])
+    bad = summarize_ap(rows, [(1.0, 1.0), (1.9, 1.9), (2.0, 2.0), (2.0, 2.0), (1.5, 2.0)])
     assert bad[-1].startswith("FAIL")
+
+
+def test_summarize_ap_gates_the_final_pair_of_any_asymptotic_speeds():
+    from maxglm.harness import AP_REFERENCE
+
+    rows = {ch: (ch, b, e) for ch, (b, e) in AP_REFERENCE.items()}
+    for pair, verdict in (((1e4, 1e5), "PASS"), ((1e6, 1e7), "PASS"), ((1e4, 1e7), "PASS"),
+                          ((1e3, 1e4), "INFO"), ((1e7, 2e7), "INFO")):
+        assert summarize_ap([rows.get(ch, (ch, 1.0, 1.0)) for ch in pair],
+                            [(2.0, 2.0)])[-1].startswith(verdict), pair
 
 
 def test_check_matrices_suite():

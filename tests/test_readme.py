@@ -20,3 +20,9 @@ def test_readme_python_block_runs():
 def test_all_exports_resolve():
     missing = [name for name in maxglm.__all__ if not hasattr(maxglm, name)]
     assert missing == []
+
+
+def test_readme_imports_exactly_the_exports():
+    block = re.search(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)[1]
+    imported = re.search(r"from maxglm import \((.*?)\)", block, re.S)[1]
+    assert {name.strip() for name in imported.split(",")} == set(maxglm.__all__)
