@@ -63,9 +63,9 @@ def _print_error_table(rows, orders):
 
 def _cmd_convergence(args):
     outdir = args.output_dir if args.output_dir is not None else "runs/convergence_%s" % args.scheme
-    rows, orders = harness.study_convergence(args.scheme, args.n, rk=args.rk,
-                                             cfl=args.cfl, output_dir=outdir)
-    print("planar wave, %s scheme, one period (cfl=%g):" % (args.scheme, args.cfl))
+    rows, orders = harness.study_convergence(args.scheme, args.n, output_dir=outdir)
+    print("planar wave, %s scheme, one period (cfl=%g):"
+          % (args.scheme, harness.PLANAR_REFERENCE_CFL))
     _print_error_table(rows, orders)
     for line in harness.summarize_convergence(args.scheme, rows, orders):
         print(line)
@@ -116,8 +116,6 @@ def build_parser():
     p_conv.add_argument("--scheme", choices=harness.SCHEMES, required=True)
     p_conv.add_argument("--n", type=_int_list, default=[20, 40, 80, 160],
                         metavar="N1,N2,...", help="mesh resolutions")
-    p_conv.add_argument("--rk", default="rk_high", help="time integrator (htc)")
-    p_conv.add_argument("--cfl", type=float, default=0.9)
     p_conv.add_argument("--output-dir", default=None,
                         help="where to write errors.csv ('' disables)")
     p_conv.set_defaults(func=_cmd_convergence)

@@ -56,10 +56,6 @@ class Grid2D:
             return self.vertices()
         raise ValueError("location must be 'cells' or 'vertices', got %r" % (location,))
 
-    def __repr__(self):
-        return "Grid2D(%dx%d on [%g,%g]x[%g,%g])" % (
-            self.nx, self.ny, self.x_min, self.x_max, self.y_min, self.y_max)
-
 
 def l2_norm(grid, u):
     """Volume-weighted L2 norm sqrt(sum dx*dy*u^2); vector fields sum components."""

@@ -38,7 +38,9 @@ import numpy as np
 from .mimetic import curl_c2v, curl_v2c, diff, div_c2v, div_v2c, grad_c2v, grad_v2c, pad, wrap
 from .model import FIELDS, State
 
-# CG's stop: the relative rounding floor beside cg_tol (about half float64's eps)
+# CG's stop in the step's solves: a relative residual, beside a relative
+# rounding floor (about half float64's eps)
+CG_TOL = 1e-12
 ROUNDING_FLOOR = 1e-16
 
 
@@ -62,7 +64,7 @@ def _dot(a, b):
     return float(np.einsum("i,i->", a.ravel(), b.ravel()))
 
 
-def cg_solve(apply_op, rhs, tol=1e-12, maxiter=0, op_norm=1.0):
+def cg_solve(apply_op, rhs, tol=CG_TOL, maxiter=0, op_norm=1.0):
     """Solve apply_op(x) = rhs for an SPD operator of norm <= op_norm, from zero.
 
     Stops once the true residual meets ||r|| <= tol ||b|| + ROUNDING_FLOOR
@@ -174,12 +176,12 @@ def apply_E_operator(grid, params, dt, E_p, work=None):
     return out
 
 
-def simm_step(state, dt, tol=1e-12, maxiter=0):
+def simm_step(state, dt, maxiter=0):
     """Advance the staggered state by one step of size dt.
 
     Solves for the half-time averages of phi, (E1, E2) and E3 (see the module
-    docstring); tol and maxiter go to all three CG solves, each stopped with
-    the bound 1 + (dt c/2)^2 (4/dx^2 + 4/dy^2) on its operator's norm.
+    docstring); CG_TOL and maxiter go to all three CG solves, each stopped
+    with the bound 1 + (dt c/2)^2 (4/dx^2 + 4/dy^2) on its operator's norm.
     """
     if not dt > 0.0:
         raise ValueError("dt must be positive")
@@ -194,7 +196,7 @@ def simm_step(state, dt, tol=1e-12, maxiter=0):
 
     def solve(apply_op, rhs, c, **speed):
         norm = 1.0 + (0.5 * dt * c) ** 2 * (4.0 / g.dx ** 2 + 4.0 / g.dy ** 2)
-        return cg_solve(lambda u: apply_op(g, m, dt, u, work, **speed), rhs, tol, maxiter,
+        return cg_solve(lambda u: apply_op(g, m, dt, u, work, **speed), rhs, CG_TOL, maxiter,
                         norm)
 
     # phi's solve eliminates B (div curl E drops out), E's eliminates B and psi

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from maxglm import simm
 from maxglm.grid import Grid2D
 from maxglm.harness import (RunConfig, initial_fields, simulate, study_ap,
                             study_convergence)
@@ -205,7 +206,7 @@ def test_collocated_exponential_excess_energy_drift():
 
 def test_staggered_energy_conservation_long_run():
     series, _ = simulate(RunConfig(scheme="simm", nx=50, ny=50, cfl=0.9,
-                                   t_end=10.0, ic="gauss_t2", cg_tol=1e-12))
+                                   t_end=10.0, ic="gauss_t2"))
     drift = series.max_abs_energy_error()
     _gate(drift <= 1e-10, "staggered energy drift, t=10, 50x50",
           "max |relative drift| %.3e <= 1e-10" % drift)
@@ -216,7 +217,7 @@ def test_staggered_energy_conservation_long_run():
 
 def test_staggered_divergence_preservation_long_run():
     series, _ = simulate(RunConfig(scheme="simm", nx=50, ny=50, cfl=0.9,
-                                   t_end=10.0, ic="gauss_t1", cg_tol=1e-12))
+                                   t_end=10.0, ic="gauss_t1"))
     worst = max(max(series.div_B), max(series.div_E))
     _gate(worst <= 1e-11, "staggered divergence preservation, t=10, 50x50",
           "max |div| over all steps %.3e <= 1e-11" % worst)
@@ -285,9 +286,9 @@ def test_implicit_operators_spd_for_stiff_settings():
                          + np.linalg.norm(v) * np.linalg.norm(Au))
                 worst_sym = max(worst_sym, abs(a - b) / norms)
                 min_quad = min(min_quad, float(np.sum(u * Au) / np.sum(u * u)))
-    ok = worst_sym <= 1e-13 and min_quad > 0.0
+    ok = worst_sym <= 1e-15 and min_quad > 0.0
     _gate(ok, "implicit operators SPD at dt*ch in {1, 1000}",
-          "symmetry residual %.3e <= 1e-13, min quadratic form %.6f > 0"
+          "symmetry residual %.3e <= 1e-15, min quadratic form %.6f > 0"
           % (worst_sym, min_quad))
 
 
@@ -310,16 +311,17 @@ def test_staggered_energy_conservation_stiff(name):
           "max |relative drift| %.3e <= 1e-10" % drift)
 
 
-def test_staggered_energy_independent_of_cg_tolerance():
+def test_staggered_energy_independent_of_cg_tolerance(monkeypatch):
     """Solving for the half-time averages leaves no tolerance in the energy.
 
-    At cg_tol = 1e-2 the solutions are inaccurate, but CG's residual stays
-    orthogonal to its iterate; the worst drift measured was 1.0e-15.
+    At a CG tolerance of 1e-2 the solutions are inaccurate, but CG's residual
+    stays orthogonal to its iterate; the worst drift measured was 1.0e-15.
     """
     drifts = []
     for tol in (1e-2, 1e-6, 1e-12):
+        monkeypatch.setattr(simm, "CG_TOL", tol)
         series, _ = simulate(RunConfig(scheme="simm", nx=64, ny=64, ch=3.0, cfl=None,
-                                       dt=0.05, t_end=2.0, ic="gauss_t2", cg_tol=tol))
+                                       dt=0.05, t_end=2.0, ic="gauss_t2"))
         drifts.append(series.max_abs_energy_error())
-    _gate(max(drifts) <= 1e-13, "staggered energy drift vs cg_tol 1e-2/1e-6/1e-12",
+    _gate(max(drifts) <= 1e-13, "staggered energy drift vs CG tolerance 1e-2/1e-6/1e-12",
           "max |relative drift| %s <= 1e-13" % " / ".join("%.3e" % d for d in drifts))

@@ -54,18 +54,32 @@ def test_run_reports_bad_override(capsys):
     assert "key=value" in capsys.readouterr().err
 
 
+def test_run_rejects_the_retired_cg_tol_key(capsys):
+    # CG's tolerance is the constant simm.CG_TOL; old configs fail by name
+    rc = main(["run", "--override", "cg_tol=1e-12"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == "error: unknown config key 'cg_tol'\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("overrides", [
     ["ic=gauss_t1", "sigma=1e-3", "nx=8", "ny=8"],  # samples to all-zero data
     ["sigma=0"],
     ["t_end=nan"],
     ["t_end=inf"],
     ["ch=inf", "nx=8", "ny=8", "t_end=0.2"],
-    ["scheme=simm", "ic=gauss_t2", "nx=8", "ny=8", "t_end=0.2", "cg_tol=inf"],
+    ["scheme=simm", "ic=gauss_t2", "nx=8", "ny=8", "t_end=0.2", "cg_maxiter=-1"],
     ["c0=1e300", "nx=8", "ny=8", "t_end=0.2"],  # dt ~ 1e-301 would never reach t_end
     # the exponential energy is measured from its vacuum value, so zero too
     ["energy=exponential", "ic=gauss_t1", "sigma=1e-3", "nx=8", "ny=8"],
     # sin(pi (x - y)) sampled at its zeros: an initial energy of 4e-32, not 0
     ["nx=2", "ny=2"],
+    # the same zeros at x - y = 1000: sin(1000 pi) = 3e-13 is the rounding of
+    # the argument, which grows with it
+    ["nx=2", "ny=2", "x_min=-1000", "x_max=1000", "y_min=-1000", "y_max=1000"],
+    ["scheme=simm", "nx=2", "ny=2", "x_min=-1000", "x_max=1000", "y_min=-1000",
+     "y_max=1000"],
 ])
 def test_run_rejects_degenerate_configs(capsys, overrides):
     rc = main(["run"] + [a for ov in overrides for a in ("--override", ov)])
@@ -134,8 +148,7 @@ def test_aborted_run_keeps_its_record(tmp_path, capsys):
 
 def test_convergence_subcommand(tmp_path, capsys):
     out = tmp_path / "conv"
-    rc = main(["convergence", "--scheme", "htc", "--n", "8,16",
-               "--rk", "rk4", "--output-dir", str(out)])
+    rc = main(["convergence", "--scheme", "htc", "--n", "8,16", "--output-dir", str(out)])
     captured = capsys.readouterr()
     assert rc == 0
     assert "planar wave, htc scheme" in captured.out
@@ -152,6 +165,28 @@ def test_convergence_requires_scheme(capsys):
 def test_convergence_rejects_bad_resolution_list(capsys):
     with pytest.raises(SystemExit):
         main(["convergence", "--scheme", "htc", "--n", "8,big"])
+
+
+@pytest.mark.parametrize("n", ["", "40,20", "20,20"])
+def test_convergence_rejects_non_increasing_resolutions(tmp_path, capsys, n):
+    # an order needs two increasing resolutions, and a table needs one
+    rc = main(["convergence", "--scheme", "htc", "--n=" + n,
+               "--output-dir", str(tmp_path / "conv")])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: ")
+    assert "strictly increasing" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "conv").exists()
+
+
+def test_convergence_has_no_integrator_or_cfl_options(capsys):
+    # the study runs the configuration its reference table was measured at
+    for flag in (["--rk", "rk4"], ["--cfl", "0.5"]):
+        with pytest.raises(SystemExit):
+            main(["convergence", "--scheme", "htc", "--n", "8,16"] + flag)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_ap_subcommand(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_make_config_rejects_bad_override():
         (dict(ic="vortex"), "ic must be"),
         (dict(rk="rk9"), "rk must be"),
         (dict(t_end=-1.0), "t_end"),
-        (dict(cg_tol=0.0), "cg_tol"),
+        (dict(scheme="fdtd"), "scheme must be one of"),
         (dict(snapshot_every=-1), "nonnegative"),
         (dict(t_end=math.nan), "t_end must be finite"),
         (dict(t_end=math.inf), "t_end must be finite"),
@@ -101,7 +101,7 @@ def test_make_config_rejects_bad_override():
         (dict(ch=math.inf), "wave speeds must be finite and positive"),
         (dict(c0=math.inf), "wave speeds must be finite and positive"),
         (dict(c0=0.0), "wave speeds must be finite and positive"),
-        (dict(cg_tol=math.inf), "cg_tol must be finite and positive"),
+        (dict(cfl=None, dt=0.0), "dt must be positive"),
         (dict(cg_maxiter=-1), "nonnegative"),
     ],
 )
@@ -212,8 +212,7 @@ def test_resolve_output_dir(tmp_path, monkeypatch):
 # --- studies and summaries ---------------------------------------------------
 
 def test_study_convergence_small(tmp_path):
-    rows, orders = study_convergence("htc", [8, 16], rk="rk4",
-                                     output_dir=str(tmp_path / "conv"))
+    rows, orders = study_convergence("htc", [8, 16], output_dir=str(tmp_path / "conv"))
     assert [N for N, _ in rows] == [8, 16]
     assert rows[1][1]["B1"] < rows[0][1]["B1"]
     assert 1.5 < orders["B1"][0] < 2.5

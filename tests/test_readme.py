@@ -1,5 +1,6 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its lists match the code."""
 
+import dataclasses
 import pathlib
 import re
 
@@ -20,6 +21,13 @@ def test_readme_python_block_runs():
 def test_all_exports_resolve():
     missing = [name for name in maxglm.__all__ if not hasattr(maxglm, name)]
     assert missing == []
+
+
+def test_readme_knobs_are_exactly_the_config_fields():
+    text = README.read_text(encoding="utf-8")
+    knobs = re.search(r"The knobs and their defaults:\n\n```\n(.*?)```", text, re.S)[1]
+    keys = [line.split("=", 1)[0].strip() for line in knobs.splitlines()]
+    assert keys == [f.name for f in dataclasses.fields(maxglm.RunConfig)]
 
 
 def test_readme_imports_exactly_the_exports():

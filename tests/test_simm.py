@@ -308,7 +308,7 @@ def test_step_conserves_energy_for_random_data():
     state = _random_state(g, ModelParams(c0=1.0, ch=1.0), seed=6, scale=0.1)
     e0 = total_energy(state)
     for _ in range(20):
-        state = simm_step(state, 0.05, tol=1e-13)
+        state = simm_step(state, 0.05)
         drift = abs(total_energy(state) - e0) / e0
         assert drift <= 1e-10, drift
 
