@@ -447,10 +447,11 @@ def study_convergence(scheme, resolutions, output_dir=None):
                            dt=None, t_end=math.sqrt(2.0), ic="planar", rk="rk_high")
         _, final = simulate(config)
         rows.append((N, _final_errors(config, final)))
-    seqs = {name: [(N, errs[name]) for N, errs in rows] for name in COMPONENT_NAMES}
-    # a component that is identically zero (E3) has no order
-    orders = {name: [] if any(e <= 0.0 for _, e in seq) else diagnostics.convergence_order(seq)
-              for name, seq in seqs.items()}
+    orders = {}
+    for name in COMPONENT_NAMES:
+        seq = [(N, errs[name]) for N, errs in rows]
+        # a component that is identically zero (E3) has no order
+        orders[name] = [] if any(e <= 0.0 for _, e in seq) else diagnostics.convergence_order(seq)
     outdir = resolve_output_dir(output_dir)
     if outdir:
         diagnostics.write_csv(

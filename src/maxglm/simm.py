@@ -38,8 +38,7 @@ import numpy as np
 from .mimetic import curl_c2v, curl_v2c, diff, div_c2v, div_v2c, grad_c2v, grad_v2c, pad, wrap
 from .model import FIELDS, State
 
-# CG's stop in the step's solves: a relative residual, beside a relative
-# rounding floor (about half float64's eps)
+# CG's stop: a relative residual, beside a relative rounding floor (about half eps)
 CG_TOL = 1e-12
 ROUNDING_FLOOR = 1e-16
 
